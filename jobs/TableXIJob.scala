@@ -20,10 +20,12 @@ object TableXIJob {
   }
 }
 
-/** Shared local session factory for jobs. */
+/** Shared local session factory for the jobs and the test suites:
+  * broadcast joins off, so every join takes the shuffle path.
+  */
 object Sessions {
   def local(app: String): SparkSession =
-    SparkSession.builder
+    SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(app)
       .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))

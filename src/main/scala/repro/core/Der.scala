@@ -15,7 +15,8 @@ import org.apache.spark.sql.functions._
   *   pair, i.e. the two updates cancel.
   *
   * The sets are collected to the driver: they index at most |V_D| ids per
-  * update and feed the (driver-side) EH-Tree.
+  * update and feed the (driver-side) EH-Tree, which applies the DER-I/II
+  * coverage rule ([[EhTree.build]]).
   */
 object Der {
 
@@ -66,11 +67,6 @@ object Der {
     * correctness is carried by the final fixpoint).
     */
   def candidateNodes(spark: SparkSession, u: PatternUpdate, p: PatternGraph,
-                     g: DataGraph, iquery: DataFrame, slen: DataFrame, cap: Int): Set[Long] =
-    candidateNodes(spark, u, p, context(g, iquery), slen, cap)
-
-  /** [[candidateNodes]] over a prebuilt [[Context]] (batch-friendly). */
-  def candidateNodes(spark: SparkSession, u: PatternUpdate, p: PatternGraph,
                      ctx: Context, slen: DataFrame, cap: Int): Set[Long] =
     u match {
       case PatEdgeIns(PEdge(s, t, bound)) =>
@@ -95,23 +91,6 @@ object Der {
   def affectedNodes(changed: DataFrame): Set[Long] =
     repro.sssp.IncApsp.affectedNodes(changed).collect().map(_.getLong(0)).toSet
 
-  /** DER-I over a batch: all coverage pairs `(a eliminates b)`, a ≠ b. */
-  def typeI(cans: Seq[(PatternUpdate, Set[Long])]): Seq[(PatternUpdate, PatternUpdate)] =
-    coveragePairs(cans)
-
-  /** DER-II over a batch: all coverage pairs `(a eliminates b)`, a ≠ b. */
-  def typeII(affs: Seq[(DataUpdate, Set[Long])]): Seq[(DataUpdate, DataUpdate)] =
-    coveragePairs(affs)
-
-  private def coveragePairs[U <: Update](sets: Seq[(U, Set[Long])]): Seq[(U, U)] =
-    for {
-      (a, sa) <- sets
-      (b, sb) <- sets
-      if a.uid != b.uid && sa.size >= sb.size && sb.subsetOf(sa) &&
-        // strictness tie-break so equal sets don't eliminate each other twice
-        (sa.size > sb.size || a.uid < b.uid)
-    } yield (a, b)
-
   /** DER-III coverage gate: `Aff_N(U_Di) ⊇ Can_N(U_Pi)` (pure, driver). */
   def typeIIIGate(canPi: Set[Long], affDi: Set[Long]): Boolean =
     canPi.subsetOf(affDi)
@@ -125,16 +104,4 @@ object Der {
     val PEdge(s, t, bound) = uPi.edge
     violations(spark, slenNew, ctx.matchSet(s), ctx.matchSet(t), bound, cap)._1 == 0
   }
-
-  /** DER-III (Algorithm 3): does data update `uDi` cancel the pattern-edge
-    * insertion `uPi`? Requires the coverage gate and zero violating match
-    * pairs under the *updated* SLen.
-    */
-  def typeIII(spark: SparkSession, uPi: PatEdgeIns, canPi: Set[Long], affDi: Set[Long],
-              iquery: DataFrame, slenNew: DataFrame, cap: Int): Boolean =
-    typeIIIGate(canPi, affDi) && {
-      val ms = iquery.collect().map(r => (r.getString(0), r.getLong(1)))
-        .groupBy(_._1).view.mapValues(_.map(_._2).toSet).toMap
-      cancelsUnderNewSlen(spark, uPi, Context(Map.empty, ms), slenNew, cap)
-    }
 }

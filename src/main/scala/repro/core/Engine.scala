@@ -2,24 +2,30 @@ package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.sssp.{ApspBfs, IncApsp}
-import repro.partition.PartitionedApsp
+import repro.partition.LabelPartition
 
-/** The SLen maintenance engine: how restricted-source recomputation (after
-  * deletions) is executed. This is exactly what separates UA-GPNM from
-  * UA-GPNM-NoPar (§V): the partitioned engine runs local BFS inside
-  * combined label partitions; the global engine runs join-level BFS.
+/** How SLen is computed for a method. Every method runs the one BFS kernel
+  * [[ApspBfs]]; the only difference is its node grouping, which is exactly
+  * what separates UA-GPNM from UA-GPNM-NoPar (§V): `partitioned` runs the
+  * BFS inside the combined label partitions
+  * ([[LabelPartition.combinedComponents]]), otherwise over all nodes as one
+  * group.
   */
 final case class SlenOps(cap: Int, partitioned: Boolean) {
 
-  /** Recompute SLen rows for a source set over the post-update graph. */
+  private def labelGroups(g: DataGraph): Option[Map[String, Int]] =
+    if (partitioned) Some(LabelPartition.combinedComponents(g)) else None
+
+  /** Recompute SLen rows for a source set over the post-update graph. The
+    * partition is computed when the closure runs, so a deletion that
+    * recomputes no source launches no partition jobs.
+    */
   def recompute(spark: SparkSession, g: DataGraph): IncApsp.Recompute =
-    if (partitioned) sources => PartitionedApsp.fromSources(spark, g, sources, cap)
-    else sources => ApspBfs.fromSources(spark, g.edges, sources, cap)
+    sources => ApspBfs.fromSources(spark, g, sources, cap, labelGroups(g))
 
   /** Full SLen matrix from scratch. */
   def fullApsp(spark: SparkSession, g: DataGraph): DataFrame =
-    if (partitioned) PartitionedApsp.apsp(spark, g, cap)
-    else ApspBfs.apsp(spark, g.nodes, g.edges, cap)
+    ApspBfs.apsp(spark, g, cap, labelGroups(g))
 }
 
 /** Application of one data update to the (graph, SLen) state. */

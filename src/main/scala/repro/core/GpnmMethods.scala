@@ -16,8 +16,9 @@ import scala.collection.mutable
   *  - EH-GPNM [14]: EH-Tree over `ΔG_D` only (Type II eliminations); one
   *    pass per uneliminated data update, plus one per pattern update.
   *  - UA-GPNM-NoPar: EH-Tree over all updates (Types I, II, III); one pass
-  *    per uneliminated root; global SLen engine.
-  *  - UA-GPNM: same, with the label-partitioned SLen engine (§V).
+  *    per uneliminated root.
+  *  - UA-GPNM: same, with SLen computation scoped to the combined label
+  *    partitions (§V). All four methods share one BFS kernel ([[SlenOps]]).
   *
   * An "incremental GPNM pass" is a BGS fixpoint over the maintained SLen
   * (DESIGN.md §3.2), so every method's final pass runs against the final
@@ -84,8 +85,9 @@ object GpnmMethods {
   }
 
   /** UA-GPNM (Algorithm 6): EH-Tree over all updates with Types I–III;
-    * one incremental pass per uneliminated root. `partitioned` selects the
-    * §V SLen engine (true = UA-GPNM, false = UA-GPNM-NoPar).
+    * one incremental pass per uneliminated root. `partitioned` scopes SLen
+    * computation to label partitions (§V; true = UA-GPNM,
+    * false = UA-GPNM-NoPar).
     */
   def uaGpnm(spark: SparkSession, g: DataGraph, p: PatternGraph,
              iquery: DataFrame, slen: DataFrame,

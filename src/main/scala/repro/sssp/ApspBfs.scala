@@ -2,14 +2,21 @@ package repro.sssp
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
+import repro.core.DataGraph
 
-/** Global shortest-path-length computation as iterative DataFrame BFS.
+import scala.collection.mutable
+
+/** The shortest-path-length kernel: exact in-memory BFS runs executed as
+  * distributed `flatMapGroups` tasks. Every method computes SLen with it.
   *
-  * This is the non-partitioned engine used by the INC-GPNM / EH-GPNM /
-  * UA-GPNM-NoPar baselines: each BFS level is a shuffle join
-  * (frontier ⋈ edges), deduplicated and anti-joined against the reached
-  * set. `localCheckpoint` truncates lineage per level so long runs stay
-  * flat.
+  * Nodes are split into *groups* that no edge crosses; each `(group,
+  * chunk)` task gets its group's edges and the BFS roots of that chunk,
+  * so one large group still spreads across cores. Across groups distances
+  * are ∞. The node → group assignment is the kernel's only input that
+  * differs between UA-GPNM and the other methods:
+  *   - `labelGroups = Some(label → group)`: the combined label partitions
+  *     of §V (UA-GPNM, through `SlenOps(cap, partitioned = true)`);
+  *   - `labelGroups = None`: every node in one group, no label joins.
   *
   * SLen representation (Table II): `(src, dst, d)` rows for *finite*
   * distances only, `d ∈ [0, cap]`, including the self rows `(v, v, 0)`.
@@ -19,37 +26,87 @@ import org.apache.spark.sql.functions._
   */
 object ApspBfs {
 
-  /** Hop distances from every node of `sources` ("id" column) to every node
-    * reachable within `cap` hops over `edges(src, dst)`.
+  /** SLen rows `(src, dst, d)` for every `src` in `sources` ("id" column)
+    * that is a node of `g`, `d ≤ cap`.
+    *
+    * @param labelGroups label → group, where labels joined by an edge share
+    *                    a group; `None` puts every node in one group.
+    * @param chunks      number of BFS-root chunks per group; controls
+    *                    intra-group parallelism.
     */
-  def fromSources(spark: SparkSession, edges: DataFrame, sources: DataFrame, cap: Int): DataFrame = {
-    val e = edges.select(col("src").as("e_src"), col("dst").as("e_dst"))
-    var result = sources
-      .select(col("id").as("src"), col("id").as("dst"), lit(0).as("d"))
-      .distinct()
-      .localCheckpoint()
-    var frontier = result
-    var depth    = 0
-    var done     = frontier.isEmpty
-    while (!done && depth < cap) {
-      depth += 1
-      val next = frontier
-        .join(e, frontier("dst") === e("e_src"))
-        .select(col("src"), col("e_dst").as("dst"))
-        .distinct()
-        .join(result, Seq("src", "dst"), "left_anti")
-        .select(col("src"), col("dst"), lit(depth).as("d"))
-        .localCheckpoint()
-      if (next.isEmpty) done = true
-      else {
-        result = result.union(next).localCheckpoint()
-        frontier = next
-      }
+  def fromSources(spark: SparkSession, g: DataGraph, sources: DataFrame, cap: Int,
+                  labelGroups: Option[Map[String, Int]], chunks: Int = 16): DataFrame = {
+    import spark.implicits._
+    val (nodeGroups, edgeGroups) = labelGroups match {
+      case None =>
+        (g.nodes.select(col("id"), lit(0).as("group")),
+         g.edges.select(lit(0).as("group"), col("src"), col("dst")))
+      case Some(groupOf) =>
+        val nodesG = g.nodes.join(groupOf.toSeq.toDF("label", "group"), Seq("label"))
+          .select(col("id"), col("group"))
+        // Both endpoints of an edge share a group, so annotating the
+        // source suffices.
+        val edgesG = g.edges
+          .join(nodesG.withColumnRenamed("id", "src"), Seq("src"))
+          .select(col("group"), col("src"), col("dst"))
+        (nodesG, edgesG)
     }
-    result
+
+    val chunkIds = (0 until chunks).toDF("chunk")
+    val edgeRows = edgeGroups
+      .crossJoin(chunkIds)
+      .select(col("group"), col("chunk"), lit(0).as("kind"), col("src").as("a"), col("dst").as("b"))
+    val sourceRows = sources
+      .select(col("id")).distinct()
+      .join(nodeGroups, Seq("id"))
+      .select(col("group"), pmod(col("id"), lit(chunks)).cast("int").as("chunk"),
+              lit(1).as("kind"), col("id").as("a"), lit(0L).as("b"))
+
+    val out = edgeRows.union(sourceRows)
+      .as[(Int, Int, Int, Long, Long)]
+      .groupByKey { case (group, chunk, _, _, _) => (group, chunk) }
+      .flatMapGroups { (_: (Int, Int), rows: Iterator[(Int, Int, Int, Long, Long)]) =>
+        val edges = mutable.ArrayBuffer.empty[(Long, Long)]
+        val roots = mutable.ArrayBuffer.empty[Long]
+        rows.foreach {
+          case (_, _, 0, a, b) => edges += ((a, b))
+          case (_, _, _, a, _) => roots += a
+        }
+        if (roots.isEmpty) Iterator.empty
+        else localBfs(edges.toSeq, roots.toSeq, cap)
+      }
+      .toDF("src", "dst", "d")
+    out.localCheckpoint()
   }
 
-  /** All-pairs shortest path lengths (the SLen matrix, finite entries). */
-  def apsp(spark: SparkSession, nodes: DataFrame, edges: DataFrame, cap: Int): DataFrame =
-    fromSources(spark, edges, nodes.select(col("id")), cap)
+  /** Full SLen matrix (all nodes as sources). */
+  def apsp(spark: SparkSession, g: DataGraph, cap: Int,
+           labelGroups: Option[Map[String, Int]], chunks: Int = 16): DataFrame =
+    fromSources(spark, g, g.nodes.select("id"), cap, labelGroups, chunks)
+
+  /** Plain in-memory BFS from each root over an adjacency list; emits
+    * `(root, v, d)` for every node within `cap` hops (including the root
+    * itself at distance 0).
+    */
+  private def localBfs(edges: Seq[(Long, Long)], roots: Seq[Long],
+                       cap: Int): Iterator[(Long, Long, Int)] = {
+    val adj = mutable.HashMap.empty[Long, mutable.ArrayBuffer[Long]]
+    edges.foreach { case (s, d) => adj.getOrElseUpdate(s, mutable.ArrayBuffer.empty) += d }
+    roots.iterator.flatMap { r =>
+      val dist  = mutable.HashMap[Long, Int](r -> 0)
+      var level = mutable.ArrayBuffer(r)
+      var d     = 0
+      while (level.nonEmpty && d < cap) {
+        d += 1
+        val next = mutable.ArrayBuffer.empty[Long]
+        level.foreach { v =>
+          adj.getOrElse(v, Nil).foreach { w =>
+            if (!dist.contains(w)) { dist(w) = d; next += w }
+          }
+        }
+        level = next
+      }
+      dist.iterator.map { case (v, dd) => (r, v, dd) }
+    }
+  }
 }

@@ -12,16 +12,16 @@ import org.apache.spark.sql.functions._
   * - Edge delete `(a,b)` detects the sound affected-source set
   *   `{s : d(s,b) = d(s,a) + 1}` (any pair whose distance grows must have
   *   routed its shortest path through the deleted edge) and recomputes only
-  *   those sources with a restricted multi-source BFS, supplied by the
-  *   caller so the partitioned (UA-GPNM) and global (baselines) engines
-  *   plug in.
+  *   those sources with a restricted multi-source BFS. The caller supplies
+  *   it (`SlenOps.recompute`: the [[ApspBfs]] kernel, scoped to label
+  *   partitions for UA-GPNM and unscoped for the other methods).
   * - Node ops reduce to the above plus self-row bookkeeping.
   */
 object IncApsp {
 
-  /** The restricted-source recompute strategy: given the post-update graph's
-    * edges-view is already bound, maps a set of source ids ("id") to fresh
-    * SLen rows for exactly those sources.
+  /** The restricted-source recompute, bound to the post-update graph: maps
+    * a set of source ids ("id") to fresh SLen rows for exactly those of
+    * them that are nodes of that graph.
     */
   type Recompute = DataFrame => DataFrame
 
@@ -63,8 +63,9 @@ object IncApsp {
   }
 
   /** SLen after deleting node `v`; `recompute` runs over the post-delete
-    * edge set (v's incident edges removed). Every source that could reach
-    * `v` may have routed paths through it, so those sources are recomputed.
+    * graph (v and its incident edges removed), so its rows never mention
+    * `v`. Every source that could reach `v` may have routed paths through
+    * it, so those sources are recomputed.
     */
   def deleteNode(slen: DataFrame, v: Long, recompute: Recompute): DataFrame = {
     val affected = slen
@@ -73,12 +74,8 @@ object IncApsp {
       .distinct()
       .localCheckpoint()
     val without = slen.filter(col("src") =!= v && col("dst") =!= v)
-    val spliced =
-      if (affected.isEmpty) without.localCheckpoint()
-      else spliceSources(without, affected, recompute(affected))
-    // recomputed rows may still reference v if recompute ran pre-filter;
-    // guard for safety (cheap filter, usually a no-op).
-    spliced.filter(col("src") =!= v && col("dst") =!= v).localCheckpoint()
+    if (affected.isEmpty) without.localCheckpoint()
+    else spliceSources(without, affected, recompute(affected))
   }
 
   /** Replace all rows of `slen` whose `src` is in `sources` by `fresh`. */

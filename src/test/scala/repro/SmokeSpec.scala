@@ -2,7 +2,6 @@ package repro
 
 import repro.core._
 import repro.gen.UpdateGen
-import repro.sssp.ApspBfs
 
 /** Fast end-to-end smoke: APSP, GPNM, one update round through UA-GPNM.
   * Runs first alphabetically-ish; catches wiring errors before the deep
@@ -16,7 +15,7 @@ class SmokeSpec extends SparkSpec {
     val g  = lg.toDataGraph(spark)
     val p  = TestKit.randomPattern(lg, seed = 2, nNodes = 3, nEdges = 3)
 
-    val slen = ApspBfs.apsp(spark, g.nodes, g.edges, cap)
+    val slen = SlenOps(cap, partitioned = false).fullApsp(spark, g)
     assert(TestKit.collectSlen(slen) == LocalRef.apsp(lg.nodeIds, lg.edges, cap))
 
     val iquery = Bgs.run(spark, g, p, slen, cap)

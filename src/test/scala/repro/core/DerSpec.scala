@@ -1,10 +1,14 @@
 package repro.core
 
+import org.apache.spark.sql.DataFrame
 import repro.{SparkSpec, TestKit}
-import repro.sssp.{ApspBfs, IncApsp}
+import repro.sssp.IncApsp
 
 /** DER-I / DER-II / DER-III detection (Algorithms 1–3) on constructed
   * scenarios mirroring Examples 7–9, plus the order-invariance theorems.
+  * Every check takes the batch path `GpnmMethods.uaGpnm` takes:
+  * `Der.context`, `candidateNodes` over it, the DER-III gate and
+  * cancellation body, and `EhTree.build` for coverage.
   */
 class DerSpec extends SparkSpec {
 
@@ -16,30 +20,33 @@ class DerSpec extends SparkSpec {
       Seq((1L, "PM"), (2L, "PM"), (3L, "TE"), (4L, "TE"), (5L, "S")),
       Seq((1L, 3L), (1L, 4L), (5L, 3L)))
     val g    = lg.toDataGraph(spark)
-    val slen = ApspBfs.apsp(spark, g.nodes, g.edges, cap)
+    val slen = SlenOps(cap, partitioned = false).fullApsp(spark, g)
     (lg, g, slen)
   }
   private lazy val patNoEdges = PatternGraph(
     Seq(PNode("pm", "PM"), PNode("te", "TE"), PNode("s", "S")), Nil)
-  private lazy val iqueryNoEdges = {
+  private lazy val ctxNoEdges = {
     val (_, g, slen) = world
-    Bgs.run(spark, g, patNoEdges, slen, cap)
+    Der.context(g, Bgs.run(spark, g, patNoEdges, slen, cap))
   }
 
+  /** `Can_N(u)` against the edgeless pattern, its IQuery and the world's SLen. */
+  private def canN(u: PatternUpdate): Set[Long] =
+    Der.candidateNodes(spark, u, patNoEdges, ctxNoEdges, world._3, cap)
+
+  /** DER-III as `uaGpnm` decides it: the coverage gate, then cancellation. */
+  private def cancels(uPi: PatEdgeIns, canPi: Set[Long], affDi: Set[Long],
+                      slenNew: DataFrame): Boolean =
+    Der.typeIIIGate(canPi, affDi) && Der.cancelsUnderNewSlen(spark, uPi, ctxNoEdges, slenNew, cap)
+
   test("DER-I: PatEdgeIns collects violating match pairs (Can_RN)") {
-    val (_, g, slen) = world
-    val can = Der.candidateNodes(spark, PatEdgeIns(PEdge("pm", "te", 1)),
-                                 patNoEdges, g, iqueryNoEdges, slen, cap)
     // PM2 (2) reaches no TE; both TEs appear through the violating pairs.
-    assert(can == Set(2L, 3L, 4L))
+    assert(canN(PatEdgeIns(PEdge("pm", "te", 1))) == Set(2L, 3L, 4L))
   }
 
   test("DER-I: each insert gets its own candidate set (Example 7 analogue)") {
-    val (_, g, slen) = world
-    val tight = Der.candidateNodes(spark, PatEdgeIns(PEdge("pm", "te", 1)),
-                                   patNoEdges, g, iqueryNoEdges, slen, cap)
-    val loose = Der.candidateNodes(spark, PatEdgeIns(PEdge("s", "te", 4)),
-                                   patNoEdges, g, iqueryNoEdges, slen, cap)
+    val tight = canN(PatEdgeIns(PEdge("pm", "te", 1)))
+    val loose = canN(PatEdgeIns(PEdge("s", "te", 4)))
     // S1 reaches TE1 but not TE2 within 4: candidates {5,4}; not nested with
     // the PM case here, so check the exact sets instead.
     assert(loose == Set(5L, 4L))
@@ -47,11 +54,8 @@ class DerSpec extends SparkSpec {
   }
 
   test("DER-I: star-bound insert still flags unreachable pairs") {
-    val (_, g, slen) = world
-    val can = Der.candidateNodes(spark, PatEdgeIns(PEdge("pm", "te", PatternGraph.Star)),
-                                 patNoEdges, g, iqueryNoEdges, slen, cap)
     // PM2 still violates (no finite path), PM1 satisfies.
-    assert(can == Set(2L, 3L, 4L))
+    assert(canN(PatEdgeIns(PEdge("pm", "te", PatternGraph.Star))) == Set(2L, 3L, 4L))
   }
 
   test("DER-I: PatEdgeDel collects excluded label candidates (Can_AN)") {
@@ -60,33 +64,27 @@ class DerSpec extends SparkSpec {
     val p      = PatternGraph(patNoEdges.nodes, Seq(PEdge("pm", "te", 1)))
     val iquery = Bgs.run(spark, g, p, slen, cap)
     assert(TestKit.collectMatches(iquery, p)("pm") == Set(1L))
-    val can = Der.candidateNodes(spark, PatEdgeDel("pm", "te"), p, g, iquery, slen, cap)
+    val can = Der.candidateNodes(spark, PatEdgeDel("pm", "te"), p, Der.context(g, iquery), slen, cap)
     assert(can == Set(2L))
   }
 
   test("DER-I: PatNodeIns candidates are all nodes of the new label") {
-    val (_, g, slen) = world
-    val u   = PatNodeIns(PNode("te2", "TE"), PEdge("pm", "te2", 2))
-    val can = Der.candidateNodes(spark, u, patNoEdges, g, iqueryNoEdges, slen, cap)
-    assert(can == Set(3L, 4L))
+    assert(canN(PatNodeIns(PNode("te2", "TE"), PEdge("pm", "te2", 2))) == Set(3L, 4L))
   }
 
   test("DER-I: PatNodeDel candidates include the node's matches") {
-    val (_, g, slen) = world
-    val can = Der.candidateNodes(spark, PatNodeDel("te"), patNoEdges, g,
-                                 iqueryNoEdges, slen, cap)
-    assert(can == Set(3L, 4L)) // te's matches; no constrained neighbours
+    assert(canN(PatNodeDel("te")) == Set(3L, 4L)) // te's matches; no constrained neighbours
   }
 
   test("DER-II: affected nodes of an edge insert (Example 8 analogue)") {
-    val (_, g, slen) = world
+    val (_, _, slen) = world
     val s2  = IncApsp.insertEdge(slen, 2L, 3L, cap)
     val aff = Der.affectedNodes(IncApsp.changedPairs(slen, s2))
     assert(aff == Set(2L, 3L)) // only the new pair 2->3
   }
 
   test("DER-II: a far-reaching insert affects more nodes (coverage)") {
-    val (_, g, slen) = world
+    val (_, _, slen) = world
     val sBig   = IncApsp.insertEdge(slen, 2L, 1L, cap) // PM2 -> PM1 opens 2->{1,3,4}
     val affBig = Der.affectedNodes(IncApsp.changedPairs(slen, sBig))
     val sSmall   = IncApsp.insertEdge(slen, 2L, 3L, cap)
@@ -95,62 +93,61 @@ class DerSpec extends SparkSpec {
     assert(affSmall.subsetOf(affBig)) // U_Da ⊵ U_Db
   }
 
-  test("DER-II pairwise coverage via typeII") {
+  test("DER-II pairwise coverage via EhTree.build") {
     val uA = DataEdgeIns(2L, 1L); val uB = DataEdgeIns(2L, 3L)
-    val pairs = Der.typeII(Seq(uA -> Set(1L, 2L, 3L, 4L), uB -> Set(2L, 3L)))
-    assert(pairs == Seq((uA, uB)))
+    val tree = EhTree.build(Seq(uA -> Set(1L, 2L, 3L, 4L), uB -> Set(2L, 3L)))
+    assert(tree.uneliminated == Seq(uA))
+    assert(tree.find(uA.uid).get.children.map(_.update) == Seq(uB))
   }
 
-  test("DER-I pairwise coverage via typeI, with equal-set tie-break") {
+  test("DER-I pairwise coverage via EhTree.build, with equal-set tie-break") {
     val u1 = PatEdgeIns(PEdge("pm", "te", 1))
     val u2 = PatEdgeIns(PEdge("s", "te", 4))
     val u3 = PatEdgeIns(PEdge("pm", "s", 2))
-    val pairs = Der.typeI(Seq(u1 -> Set(1L, 2L, 3L), u2 -> Set(2L, 3L), u3 -> Set(2L, 3L)))
-    // u1 covers both; u2/u3 have equal sets — only one direction is kept.
-    assert(pairs.contains((u1, u2)) && pairs.contains((u1, u3)))
-    assert(pairs.count { case (a, b) => Set(a.uid, b.uid) == Set(u2.uid, u3.uid) } == 1)
+    val tree = EhTree.build(Seq(u1 -> Set(1L, 2L, 3L), u2 -> Set(2L, 3L), u3 -> Set(2L, 3L)))
+    // u1 covers both; u2/u3 have equal sets — exactly one eliminates the other.
+    assert(tree.uneliminated == Seq(u1))
+    def under(a: Update, b: Update) = tree.find(a.uid).get.children.exists(_.update == b)
+    assert(under(u2, u3) ^ under(u3, u2))
   }
 
   test("DER-III: cross-graph cancellation (Example 9 analogue)") {
     // Pattern insert pm->te<=1 would drop PM2, but the data insert 2->3
     // restores reachability: the two updates cancel.
-    val (_, g, slen) = world
-    val uPi  = PatEdgeIns(PEdge("pm", "te", 1))
-    val can  = Der.candidateNodes(spark, uPi, patNoEdges, g, iqueryNoEdges, slen, cap)
-    val s2   = IncApsp.insertEdge(IncApsp.insertEdge(slen, 2L, 3L, cap), 2L, 4L, cap)
-    val aff  = Der.affectedNodes(IncApsp.changedPairs(slen, s2))
+    val (_, _, slen) = world
+    val uPi = PatEdgeIns(PEdge("pm", "te", 1))
+    val can = canN(uPi)
+    val s2  = IncApsp.insertEdge(IncApsp.insertEdge(slen, 2L, 3L, cap), 2L, 4L, cap)
+    val aff = Der.affectedNodes(IncApsp.changedPairs(slen, s2))
     assert(can.subsetOf(aff))
-    assert(Der.typeIII(spark, uPi, can, aff, iqueryNoEdges, s2, cap))
+    assert(cancels(uPi, can, aff, s2))
   }
 
   test("DER-III rejects when the new SLen still violates the bound") {
-    val (_, g, slen) = world
+    val (_, _, slen) = world
     val uPi = PatEdgeIns(PEdge("pm", "te", 1))
-    val can = Der.candidateNodes(spark, uPi, patNoEdges, g, iqueryNoEdges, slen, cap)
     val s2  = IncApsp.insertEdge(slen, 2L, 3L, cap) // 2->4 still unreachable
     val aff = Der.affectedNodes(IncApsp.changedPairs(slen, s2))
-    assert(!Der.typeIII(spark, uPi, can, aff, iqueryNoEdges, s2, cap))
+    assert(!cancels(uPi, canN(uPi), aff, s2))
   }
 
   test("DER-III rejects when Aff does not cover Can") {
-    val (_, g, slen) = world
+    val (_, _, slen) = world
     val uPi = PatEdgeIns(PEdge("pm", "te", 1))
-    val can = Der.candidateNodes(spark, uPi, patNoEdges, g, iqueryNoEdges, slen, cap)
-    assert(!Der.typeIII(spark, uPi, can, affDi = Set(3L), iqueryNoEdges, slen, cap))
+    assert(!cancels(uPi, canN(uPi), affDi = Set(3L), slen))
   }
 
   test("Theorem 1: Can_N detection is order-invariant") {
-    val (_, g, slen) = world
     val us: Seq[PatternUpdate] = Seq(
       PatEdgeIns(PEdge("pm", "te", 1)), PatEdgeIns(PEdge("s", "te", 4)),
       PatNodeDel("s"))
-    val once  = us.map(u => Der.candidateNodes(spark, u, patNoEdges, g, iqueryNoEdges, slen, cap))
-    val again = us.reverse.map(u => Der.candidateNodes(spark, u, patNoEdges, g, iqueryNoEdges, slen, cap)).reverse
+    val once  = us.map(canN)
+    val again = us.reverse.map(canN).reverse
     assert(once == again)
   }
 
   test("Theorem 2: commuting data updates reach the same SLen in any order") {
-    val (lg, g, slen) = world
+    val (_, g, slen) = world
     val ops = SlenOps(cap, partitioned = false)
     def applySeq(us: Seq[DataUpdate]): Map[(Long, Long), Int] = {
       var cur = g; var s = slen

@@ -165,10 +165,4 @@ class GenSpec extends SparkSpec {
     val b = UpdateGen.patternUpdates(p, snap.labels, 2, 2, 1, 1, seed = 12)
     assert(a == b)
   }
-
-  test("SynthData.socialGraph facade returns the same graph") {
-    val (n2, e2) = repro.SynthData.socialGraph(spark, 200, 800, 5, 0.8, seed = 99)
-    assert(g.nodes.exceptAll(n2).isEmpty)
-    assert(g.edges.exceptAll(e2).isEmpty)
-  }
 }

@@ -1,17 +1,36 @@
 package repro.partition
 
 import repro.{SparkSpec, TestKit}
-import repro.core.{DataGraph, LocalRef}
+import repro.core.{DataGraph, LocalRef, SlenOps}
 import repro.sssp.ApspBfs
 
-/** Theorem 3: the partitioned shortest-path computation equals the global
-  * APSP — verified against the join-BFS engine and the brute-force
-  * reference, including restricted source sets and disconnected partitions.
+/** Theorem 3: scoping the SLen BFS kernel to combined label partitions
+  * (UA-GPNM) gives the same SLen as running it over the whole graph, and
+  * both equal the brute-force reference, including restricted source sets
+  * and disconnected partitions. Every case runs in both modes.
   */
 class PartitionedApspSpec extends SparkSpec {
   import spark.implicits._
 
   private val cap = 8
+
+  private def apsp(g: DataGraph, partitioned: Boolean, cap: Int = cap): Map[(Long, Long), Int] =
+    TestKit.collectSlen(SlenOps(cap, partitioned).fullApsp(spark, g))
+
+  /** Two random graphs over disjoint label sets, side by side, so the label
+    * partition has at least two combined components.
+    */
+  private def twoComponentGraph(seed: Int): TestKit.LocalGraph = {
+    def half(s: Long, n: Int) =
+      TestKit.randomGraph(s, n = n, m = 35 + seed * 4, nLabels = 2 + seed % 2,
+                          homophily = 0.5 + 0.04 * seed)
+    val a   = half(seed * 13L, 13 + seed)
+    val b   = half(seed * 13L + 1, 13 + seed)
+    val off = a.nodes.size.toLong
+    TestKit.LocalGraph(
+      a.nodes ++ b.nodes.map { case (id, l) => (id + off, s"B$l") },
+      a.edges ++ b.edges.map { case (s, d) => (s + off, d + off) })
+  }
 
   test("Example 14/15 analogue: cross-partition distances via bridges") {
     // P_SE chain 1->2->3->4, SE2 -> TE1, TE chain 20->21->22.
@@ -21,12 +40,14 @@ class PartitionedApspSpec extends SparkSpec {
           (20L, "TE"), (21L, "TE"), (22L, "TE")),
       Seq((1L, 2L), (2L, 3L), (3L, 4L), (2L, 20L), (20L, 21L), (21L, 22L))
     )
-    val got = TestKit.collectSlen(PartitionedApsp.apsp(spark, g, cap))
-    // Table IX shape: SE2 reaches TE1/TE2/TE3 at 1/2/3; SE1 at 2/3/4.
-    assert(got((2L, 20L)) == 1 && got((2L, 21L)) == 2 && got((2L, 22L)) == 3)
-    assert(got((1L, 20L)) == 2 && got((1L, 21L)) == 3 && got((1L, 22L)) == 4)
-    // SE3/SE4 cannot reach P_TE.
-    assert(!got.contains((3L, 20L)) && !got.contains((4L, 20L)))
+    inBothModes { par =>
+      val got = apsp(g, par)
+      // Table IX shape: SE2 reaches TE1/TE2/TE3 at 1/2/3; SE1 at 2/3/4.
+      assert(got((2L, 20L)) == 1 && got((2L, 21L)) == 2 && got((2L, 22L)) == 3)
+      assert(got((1L, 20L)) == 2 && got((1L, 21L)) == 3 && got((1L, 22L)) == 4)
+      // SE3/SE4 cannot reach P_TE.
+      assert(!got.contains((3L, 20L)) && !got.contains((4L, 20L)))
+    }
   }
 
   test("disconnected combined partitions: cross distances are infinite") {
@@ -35,9 +56,10 @@ class PartitionedApspSpec extends SparkSpec {
       Seq((1L, "A"), (2L, "A"), (3L, "B"), (4L, "B")),
       Seq((1L, 2L), (3L, 4L))
     )
-    val got = TestKit.collectSlen(PartitionedApsp.apsp(spark, g, cap))
-    assert(got == Map((1L, 1L) -> 0, (2L, 2L) -> 0, (3L, 3L) -> 0, (4L, 4L) -> 0,
-                      (1L, 2L) -> 1, (3L, 4L) -> 1))
+    inBothModes { par =>
+      assert(apsp(g, par) == Map((1L, 1L) -> 0, (2L, 2L) -> 0, (3L, 3L) -> 0, (4L, 4L) -> 0,
+                                 (1L, 2L) -> 1, (3L, 4L) -> 1))
+    }
   }
 
   test("path leaving and re-entering a partition is found (Alg 4 combination)") {
@@ -47,51 +69,54 @@ class PartitionedApspSpec extends SparkSpec {
       Seq((1L, "A"), (2L, "A"), (3L, "B")),
       Seq((1L, 3L), (3L, 2L))
     )
-    val got = TestKit.collectSlen(PartitionedApsp.apsp(spark, g, cap))
-    assert(got((1L, 2L)) == 2)
+    inBothModes { par => assert(apsp(g, par)((1L, 2L)) == 2) }
   }
 
   test("cap is honored") {
     val chain = (0L to 9L).map(i => (i, if (i % 2 == 0) "A" else "B"))
     val edges = (0L to 8L).map(i => (i, i + 1))
     val g     = DataGraph.fromLocal(spark, chain, edges)
-    val got   = TestKit.collectSlen(PartitionedApsp.apsp(spark, g, cap = 4))
-    assert(got.contains((0L, 4L)) && !got.contains((0L, 5L)))
-    assert(got.values.forall(_ <= 4))
+    inBothModes { par =>
+      val got = apsp(g, par, cap = 4)
+      assert(got.contains((0L, 4L)) && !got.contains((0L, 5L)))
+      assert(got.values.forall(_ <= 4))
+    }
   }
 
   test("fromSources restricts rows to the requested sources") {
-    val lg  = TestKit.randomGraph(5, n = 30, m = 90)
-    val g   = lg.toDataGraph(spark)
-    val src = Seq(0L, 1L, 2L).toDF("id")
-    val got = TestKit.collectSlen(PartitionedApsp.fromSources(spark, g, src, cap))
-    assert(got.keySet.map(_._1).subsetOf(Set(0L, 1L, 2L)))
+    val lg   = TestKit.randomGraph(5, n = 30, m = 90)
+    val g    = lg.toDataGraph(spark)
     val full = LocalRef.apsp(lg.nodeIds, lg.edges, cap)
-    assert(got == full.filter { case ((s, _), _) => Set(0L, 1L, 2L).contains(s) })
+    inBothModes { par =>
+      val got = TestKit.collectSlen(SlenOps(cap, par).recompute(spark, g)(Seq(0L, 1L, 2L).toDF("id")))
+      assert(got == full.filter { case ((s, _), _) => Set(0L, 1L, 2L).contains(s) })
+    }
   }
 
   test("sources not present in the graph are ignored") {
-    val g   = DataGraph.fromLocal(spark, Seq((1L, "A")), Seq.empty)
-    val got = PartitionedApsp.fromSources(spark, g, Seq(99L).toDF("id"), cap)
-    assert(got.isEmpty)
+    val g = DataGraph.fromLocal(spark, Seq((1L, "A")), Seq.empty)
+    inBothModes { par =>
+      assert(SlenOps(cap, par).recompute(spark, g)(Seq(99L).toDF("id")).isEmpty)
+    }
   }
 
   for (seed <- 1 to 10)
     test(s"equals global join-BFS APSP on random graph (seed=$seed)") {
-      val lg  = TestKit.randomGraph(seed * 13, n = 26 + seed * 2, m = 70 + seed * 8,
-                                    nLabels = 3 + seed % 3, homophily = 0.5 + 0.04 * seed)
-      val g   = lg.toDataGraph(spark)
-      val par = TestKit.collectSlen(PartitionedApsp.apsp(spark, g, cap))
-      val glb = TestKit.collectSlen(ApspBfs.apsp(spark, g.nodes, g.edges, cap))
-      assert(par == glb)
-      assert(par == LocalRef.apsp(lg.nodeIds, lg.edges, cap))
+      val lg = twoComponentGraph(seed)
+      val g  = lg.toDataGraph(spark)
+      assert(LabelPartition.combinedComponents(g).values.toSet.size >= 2)
+      val scoped = apsp(g, partitioned = true)
+      assert(scoped == apsp(g, partitioned = false))
+      assert(scoped == LocalRef.apsp(lg.nodeIds, lg.edges, cap))
     }
 
   test("chunking does not change the result") {
-    val lg = TestKit.randomGraph(77, n = 30, m = 100)
-    val g  = lg.toDataGraph(spark)
-    val a  = TestKit.collectSlen(PartitionedApsp.apsp(spark, g, cap, chunks = 1))
-    val b  = TestKit.collectSlen(PartitionedApsp.apsp(spark, g, cap, chunks = 16))
-    assert(a == b)
+    val g = TestKit.randomGraph(77, n = 30, m = 100).toDataGraph(spark)
+    inBothModes { par =>
+      val groups = if (par) Some(LabelPartition.combinedComponents(g)) else None
+      val a = TestKit.collectSlen(ApspBfs.apsp(spark, g, cap, groups, chunks = 1))
+      val b = TestKit.collectSlen(ApspBfs.apsp(spark, g, cap, groups, chunks = 16))
+      assert(a == b)
+    }
   }
 }

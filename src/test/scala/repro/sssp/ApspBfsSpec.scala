@@ -1,94 +1,101 @@
 package repro.sssp
 
 import repro.{Oracle, SparkSpec, TestKit}
-import repro.core.LocalRef
+import repro.core.{DataGraph, LocalRef, SlenOps}
 
-/** Global join-BFS APSP vs the brute-force reference and the DuckDB
-  * recursive-CTE oracle.
+/** The SLen BFS kernel, scoped to label partitions and unscoped, vs the
+  * brute-force reference and the DuckDB recursive-CTE oracle.
   */
 class ApspBfsSpec extends SparkSpec {
   import spark.implicits._
 
   private val cap = 8
 
+  /** Nodes `ids` with alternating labels, so the scoped run joins labels. */
+  private def graph(ids: Seq[Long], edges: Seq[(Long, Long)]): DataGraph =
+    DataGraph.fromLocal(spark, ids.map(i => (i, s"L${i % 2}")), edges)
+
+  private def apsp(g: DataGraph, partitioned: Boolean, cap: Int = cap): Map[(Long, Long), Int] =
+    TestKit.collectSlen(SlenOps(cap, partitioned).fullApsp(spark, g))
+
   test("single node, no edges: only the self row") {
-    val nodes = Seq(7L).toDF("id")
-    val edges = Seq.empty[(Long, Long)].toDF("src", "dst")
-    val got   = TestKit.collectSlen(ApspBfs.apsp(spark, nodes, edges, cap))
-    assert(got == Map((7L, 7L) -> 0))
+    inBothModes { par =>
+      assert(apsp(graph(Seq(7L), Nil), par) == Map((7L, 7L) -> 0))
+    }
   }
 
   test("two nodes, one edge: d=1 one way, unreachable the other") {
-    val nodes = Seq(1L, 2L).toDF("id")
-    val edges = Seq((1L, 2L)).toDF("src", "dst")
-    val got   = TestKit.collectSlen(ApspBfs.apsp(spark, nodes, edges, cap))
-    assert(got == Map((1L, 1L) -> 0, (2L, 2L) -> 0, (1L, 2L) -> 1))
+    inBothModes { par =>
+      val got = apsp(graph(Seq(1L, 2L), Seq((1L, 2L))), par)
+      assert(got == Map((1L, 1L) -> 0, (2L, 2L) -> 0, (1L, 2L) -> 1))
+    }
   }
 
   test("directed chain: distances equal index difference") {
-    val nodes = (0L to 5L).toDF("id")
-    val edges = (0L to 4L).map(i => (i, i + 1)).toDF("src", "dst")
-    val got   = TestKit.collectSlen(ApspBfs.apsp(spark, nodes, edges, cap))
-    for (i <- 0L to 5L; j <- i to 5L) assert(got((i, j)) == (j - i).toInt)
-    assert(!got.contains((3L, 1L)))
+    inBothModes { par =>
+      val got = apsp(graph(0L to 5L, (0L to 4L).map(i => (i, i + 1))), par)
+      for (i <- 0L to 5L; j <- i to 5L) assert(got((i, j)) == (j - i).toInt)
+      assert(!got.contains((3L, 1L)))
+    }
   }
 
   test("cycle: self distance stays 0, wrap-around distances correct") {
-    val nodes = (0L to 3L).toDF("id")
-    val edges = Seq((0L, 1L), (1L, 2L), (2L, 3L), (3L, 0L)).toDF("src", "dst")
-    val got   = TestKit.collectSlen(ApspBfs.apsp(spark, nodes, edges, cap))
-    assert(got((0L, 0L)) == 0) // convention: self = 0, not cycle length
-    assert(got((1L, 0L)) == 3)
-    assert(got((3L, 1L)) == 2)
+    inBothModes { par =>
+      val got = apsp(graph(0L to 3L, Seq((0L, 1L), (1L, 2L), (2L, 3L), (3L, 0L))), par)
+      assert(got((0L, 0L)) == 0) // convention: self = 0, not cycle length
+      assert(got((1L, 0L)) == 3)
+      assert(got((3L, 1L)) == 2)
+    }
   }
 
   test("cap truncates long paths") {
-    val nodes = (0L to 9L).toDF("id")
-    val edges = (0L to 8L).map(i => (i, i + 1)).toDF("src", "dst")
-    val got   = TestKit.collectSlen(ApspBfs.apsp(spark, nodes, edges, cap = 3))
-    assert(got.contains((0L, 3L)) && !got.contains((0L, 4L)))
+    inBothModes { par =>
+      val got = apsp(graph(0L to 9L, (0L to 8L).map(i => (i, i + 1))), par, cap = 3)
+      assert(got.contains((0L, 3L)) && !got.contains((0L, 4L)))
+    }
   }
 
   test("fromSources restricts the source set") {
-    val nodes = (0L to 4L).toDF("id")
-    val edges = (0L to 3L).map(i => (i, i + 1)).toDF("src", "dst")
-    val srcs  = Seq(2L).toDF("id")
-    val got   = TestKit.collectSlen(ApspBfs.fromSources(spark, edges, srcs, cap))
-    assert(got.keySet.forall(_._1 == 2L))
-    assert(got == Map((2L, 2L) -> 0, (2L, 3L) -> 1, (2L, 4L) -> 2))
+    inBothModes { par =>
+      val g   = graph(0L to 4L, (0L to 3L).map(i => (i, i + 1)))
+      val got = TestKit.collectSlen(SlenOps(cap, par).recompute(spark, g)(Seq(2L).toDF("id")))
+      assert(got == Map((2L, 2L) -> 0, (2L, 3L) -> 1, (2L, 4L) -> 2))
+    }
   }
 
   test("empty source set yields empty result") {
-    val edges = Seq((1L, 2L)).toDF("src", "dst")
-    val got   = ApspBfs.fromSources(spark, edges, Seq.empty[Long].toDF("id"), cap)
-    assert(got.isEmpty)
+    inBothModes { par =>
+      val g = graph(Seq(1L, 2L), Seq((1L, 2L)))
+      assert(SlenOps(cap, par).recompute(spark, g)(Seq.empty[Long].toDF("id")).isEmpty)
+    }
   }
 
   for (seed <- 1 to 8)
     test(s"matches LocalRef on random graph (seed=$seed)") {
-      val lg  = TestKit.randomGraph(seed, n = 30 + seed * 3, m = 80 + seed * 10)
-      val g   = lg.toDataGraph(spark)
-      val got = TestKit.collectSlen(ApspBfs.apsp(spark, g.nodes, g.edges, cap))
-      assert(got == LocalRef.apsp(lg.nodeIds, lg.edges, cap))
+      val lg = TestKit.randomGraph(seed, n = 30 + seed * 3, m = 80 + seed * 10)
+      val g  = lg.toDataGraph(spark)
+      inBothModes { par =>
+        assert(apsp(g, par) == LocalRef.apsp(lg.nodeIds, lg.edges, cap))
+      }
     }
 
   for (seed <- 1 to 3)
     test(s"matches DuckDB recursive-CTE oracle (seed=$seed)") {
-      val lg   = TestKit.randomGraph(seed + 100, n = 24, m = 60)
-      val g    = lg.toDataGraph(spark)
-      val slen = ApspBfs.apsp(spark, g.nodes, g.edges, cap)
-      Oracle.assertEquivalent(
-        slen,
-        s"""WITH RECURSIVE sp AS (
-           |  SELECT id AS src, id AS dst, 0 AS d FROM nodes
-           |  UNION
-           |  SELECT sp.src, e.dst, sp.d + 1 AS d
-           |  FROM sp JOIN edges e ON sp.dst = e.src
-           |  WHERE sp.d < $cap
-           |)
-           |SELECT src, dst, MIN(d) AS d FROM sp GROUP BY src, dst""".stripMargin,
-        "nodes" -> g.nodes.select("id"),
-        "edges" -> g.edges
-      )
+      val g = TestKit.randomGraph(seed + 100, n = 24, m = 60).toDataGraph(spark)
+      inBothModes { par =>
+        Oracle.assertEquivalent(
+          SlenOps(cap, par).fullApsp(spark, g),
+          s"""WITH RECURSIVE sp AS (
+             |  SELECT id AS src, id AS dst, 0 AS d FROM nodes
+             |  UNION
+             |  SELECT sp.src, e.dst, sp.d + 1 AS d
+             |  FROM sp JOIN edges e ON sp.dst = e.src
+             |  WHERE sp.d < $cap
+             |)
+             |SELECT src, dst, MIN(d) AS d FROM sp GROUP BY src, dst""".stripMargin,
+          "nodes" -> g.nodes.select("id"),
+          "edges" -> g.edges
+        )
+      }
     }
 }

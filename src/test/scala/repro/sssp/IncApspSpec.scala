@@ -11,16 +11,16 @@ class IncApspSpec extends SparkSpec {
   import spark.implicits._
 
   private val cap = 8
-  private def recompute(g: DataGraph): IncApsp.Recompute =
-    sources => ApspBfs.fromSources(spark, g.edges, sources, cap)
+  private val ops = SlenOps(cap, partitioned = false)
+  private def recompute(g: DataGraph): IncApsp.Recompute = ops.recompute(spark, g)
   private def scratch(g: DataGraph): Map[(Long, Long), Int] =
-    TestKit.collectSlen(ApspBfs.apsp(spark, g.nodes, g.edges, cap))
+    TestKit.collectSlen(ops.fullApsp(spark, g))
 
   test("insertEdge: new shortcut lowers distances") {
     val lg   = TestKit.LocalGraph(Seq((0L, "A"), (1L, "A"), (2L, "A"), (3L, "A")),
                                   Seq((0L, 1L), (1L, 2L), (2L, 3L)))
     val g    = lg.toDataGraph(spark)
-    val slen = ApspBfs.apsp(spark, g.nodes, g.edges, cap)
+    val slen = ops.fullApsp(spark, g)
     val got  = TestKit.collectSlen(IncApsp.insertEdge(slen, 0L, 3L, cap))
     assert(got((0L, 3L)) == 1)
     assert(got((0L, 1L)) == 1 && got((1L, 3L)) == 2) // untouched pairs keep values
@@ -30,7 +30,7 @@ class IncApspSpec extends SparkSpec {
     val lg   = TestKit.LocalGraph(Seq((0L, "A"), (1L, "A"), (2L, "A")),
                                   Seq((0L, 1L), (1L, 2L), (0L, 2L)))
     val g    = lg.toDataGraph(spark)
-    val slen = ApspBfs.apsp(spark, g.nodes, g.edges, cap)
+    val slen = ops.fullApsp(spark, g)
     val got  = TestKit.collectSlen(IncApsp.insertEdge(slen, 1L, 2L, cap))
     assert(got == scratch(g))
   }
@@ -41,7 +41,7 @@ class IncApspSpec extends SparkSpec {
     val nodes = (0 until n).map(i => (i.toLong, "A"))
     val edges = (0 until n - 2).map(i => (i.toLong, (i + 1).toLong))
     val g     = TestKit.LocalGraph(nodes, edges).toDataGraph(spark)
-    val slen  = ApspBfs.apsp(spark, g.nodes, g.edges, cap)
+    val slen  = ops.fullApsp(spark, g)
     val got   = TestKit.collectSlen(IncApsp.insertEdge(slen, (n - 2).toLong, (n - 1).toLong, cap))
     val g2    = g.insertEdge(spark, (n - 2).toLong, (n - 1).toLong)
     assert(got == scratch(g2))
@@ -52,7 +52,7 @@ class IncApspSpec extends SparkSpec {
     val lg   = TestKit.LocalGraph(Seq((0L, "A"), (1L, "A"), (2L, "A")),
                                   Seq((0L, 1L), (1L, 2L)))
     val g    = lg.toDataGraph(spark)
-    val slen = ApspBfs.apsp(spark, g.nodes, g.edges, cap)
+    val slen = ops.fullApsp(spark, g)
     val g2   = g.deleteEdge(1L, 2L)
     val got  = TestKit.collectSlen(IncApsp.deleteEdge(slen, 1L, 2L, recompute(g2)))
     assert(got == scratch(g2))
@@ -63,7 +63,7 @@ class IncApspSpec extends SparkSpec {
     val lg   = TestKit.LocalGraph(Seq((0L, "A"), (1L, "A"), (2L, "A")),
                                   Seq((0L, 1L), (1L, 2L), (0L, 2L)))
     val g    = lg.toDataGraph(spark)
-    val slen = ApspBfs.apsp(spark, g.nodes, g.edges, cap)
+    val slen = ops.fullApsp(spark, g)
     val g2   = g.deleteEdge(0L, 2L)
     val got  = TestKit.collectSlen(IncApsp.deleteEdge(slen, 0L, 2L, recompute(g2)))
     assert(got == scratch(g2))
@@ -74,7 +74,7 @@ class IncApspSpec extends SparkSpec {
     val lg   = TestKit.LocalGraph(Seq((0L, "A"), (1L, "A"), (2L, "A")),
                                   Seq((0L, 1L), (1L, 2L), (0L, 2L)))
     val g    = lg.toDataGraph(spark)
-    val slen = ApspBfs.apsp(spark, g.nodes, g.edges, cap)
+    val slen = ops.fullApsp(spark, g)
     val g2   = g.deleteEdge(1L, 2L) // 0->2 direct stays; 1->2 gone
     val got  = TestKit.collectSlen(IncApsp.deleteEdge(slen, 1L, 2L, recompute(g2)))
     assert(got == scratch(g2))
@@ -83,7 +83,7 @@ class IncApspSpec extends SparkSpec {
   test("insertNode + attachments") {
     val lg   = TestKit.LocalGraph(Seq((0L, "A"), (1L, "A")), Seq((0L, 1L)))
     val g    = lg.toDataGraph(spark)
-    val slen = ApspBfs.apsp(spark, g.nodes, g.edges, cap)
+    val slen = ops.fullApsp(spark, g)
     val g2   = g.insertNode(spark, 9L, "B", outTo = Seq(0L), inFrom = Seq(1L))
     var s2   = IncApsp.insertNode(spark, slen, 9L)
     s2 = IncApsp.insertEdge(s2, 9L, 0L, cap)
@@ -95,7 +95,7 @@ class IncApspSpec extends SparkSpec {
     val lg   = TestKit.LocalGraph(Seq((0L, "A"), (1L, "A"), (2L, "A"), (3L, "A")),
                                   Seq((0L, 1L), (1L, 2L), (2L, 3L), (0L, 3L)))
     val g    = lg.toDataGraph(spark)
-    val slen = ApspBfs.apsp(spark, g.nodes, g.edges, cap)
+    val slen = ops.fullApsp(spark, g)
     val g2   = g.removeNode(1L)
     val got  = TestKit.collectSlen(IncApsp.deleteNode(slen, 1L, recompute(g2)))
     assert(got == scratch(g2))
@@ -105,24 +105,27 @@ class IncApspSpec extends SparkSpec {
 
   for (seed <- 1 to 6)
     test(s"random update sequence equals scratch recompute (seed=$seed)") {
-      val lg = TestKit.randomGraph(seed, n = 28, m = 80)
-      var g  = lg.toDataGraph(spark)
-      var s  = ApspBfs.apsp(spark, g.nodes, g.edges, cap)
-      val snap = repro.gen.UpdateGen.snapshot(g)
+      val lg   = TestKit.randomGraph(seed, n = 28, m = 80)
+      val g0   = lg.toDataGraph(spark)
+      val snap = repro.gen.UpdateGen.snapshot(g0)
       val ups  = repro.gen.UpdateGen.dataUpdates(snap, 2, 2, 1, 1, seed = seed * 7)
-      val ops  = SlenOps(cap, partitioned = false)
-      ups.foreach { u =>
-        val (g2, s2) = Engine.applyDataUpdate(spark, g, s, u, ops)
-        g = g2; s = s2
+      inBothModes { par =>
+        val mode = SlenOps(cap, par)
+        var g    = g0
+        var s    = mode.fullApsp(spark, g)
+        ups.foreach { u =>
+          val (g2, s2) = Engine.applyDataUpdate(spark, g, s, u, mode)
+          g = g2; s = s2
+        }
+        assert(TestKit.collectSlen(s) == scratch(g))
       }
-      assert(TestKit.collectSlen(s) == scratch(g))
     }
 
   test("changedPairs: insert affects exactly the improved pairs") {
     val lg   = TestKit.LocalGraph(Seq((0L, "A"), (1L, "A"), (2L, "A")),
                                   Seq((0L, 1L), (1L, 2L)))
     val g    = lg.toDataGraph(spark)
-    val slen = ApspBfs.apsp(spark, g.nodes, g.edges, cap)
+    val slen = ops.fullApsp(spark, g)
     val s2   = IncApsp.insertEdge(slen, 2L, 0L, cap)
     val changed = IncApsp.changedPairs(slen, s2).collect()
       .map(r => (r.getLong(0), r.getLong(1))).toSet
@@ -133,7 +136,7 @@ class IncApspSpec extends SparkSpec {
   test("changedPairs matches DuckDB full-outer-diff oracle") {
     val lg   = TestKit.randomGraph(55, n = 24, m = 70)
     val g    = lg.toDataGraph(spark)
-    val slen = ApspBfs.apsp(spark, g.nodes, g.edges, cap)
+    val slen = ops.fullApsp(spark, g)
     val (a, b) = lg.edges.head
     val g2   = g.deleteEdge(a, b)
     val s2   = IncApsp.deleteEdge(slen, a, b, recompute(g2))
@@ -160,7 +163,7 @@ class IncApspSpec extends SparkSpec {
     val lg   = TestKit.LocalGraph(Seq((0L, "A"), (1L, "A"), (2L, "A")),
                                   Seq((0L, 1L), (1L, 2L), (0L, 2L)))
     val g    = lg.toDataGraph(spark)
-    val slen = ApspBfs.apsp(spark, g.nodes, g.edges, cap)
+    val slen = ops.fullApsp(spark, g)
     val s2   = IncApsp.insertEdge(slen, 1L, 2L, cap) // already at distance 1
     assert(IncApsp.changedPairs(slen, s2).isEmpty)
   }
