@@ -4,6 +4,8 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.core._
 import repro.gen.{PatternGen, SocialGraph, UpdateGen}
 
+import scala.collection.mutable
+
 /** One SNAP-substitute dataset at laptop scale (DESIGN.md §3.4): relative
   * sizes/densities mirror Table X's ordering.
   */
@@ -70,7 +72,7 @@ object Harness {
   def preparePattern(spark: SparkSession, pg: PreparedGraph, patternNodes: Int,
                      patternSeed: Long): Prepared = {
     val p = PatternGen.generate(patternNodes, patternNodes + 2, pg.labels, patternSeed)
-    val iquery = Bgs.run(spark, pg.graph, p, pg.slen, Cap).localCheckpoint()
+    val iquery = Bgs.run(spark, pg.graph, p, pg.slen, Cap)
     Prepared(pg.spec, pg.graph, p, pg.slen, iquery)
   }
 
@@ -90,13 +92,6 @@ object Harness {
     Workload(dUps, pUps)
   }
 
-  private def time(body: => DataFrame): (Double, Long) = {
-    val t0 = System.nanoTime()
-    val df = body
-    val n  = df.count()
-    ((System.nanoTime() - t0) / 1e9, n)
-  }
-
   /** Ids of currently persisted RDDs (caches + localCheckpoint blocks). */
   def persistedIds(spark: SparkSession): Set[Int] =
     spark.sparkContext.getPersistentRDDs.keySet.toSet
@@ -113,33 +108,39 @@ object Harness {
   }
 
   /** Run the four methods on one scenario and time SQuery delivery.
-    * With `verify`, UA-GPNM's result is checked equal to a from-scratch
-    * GPNM on the updated graphs. Checkpoint blocks are dropped between
-    * methods so each is timed under the same memory conditions.
+    * With `verify`, each method's result is collected after its timed
+    * region and checked equal to a from-scratch GPNM on the updated graphs.
+    * Checkpoint blocks are dropped between methods so each is timed under
+    * the same memory conditions.
     */
   def runScenario(spark: SparkSession, prep: Prepared, w: Workload,
                   verify: Boolean): MethodTimes = {
     import prep._
-    val keep = persistedIds(spark)
-    val (tInc, _) = time(GpnmMethods.incGpnm(spark, graph, pattern, iquery, slen, w.dUps, w.pUps, Cap).squery)
-    cleanupExcept(spark, keep)
-    val (tEh, _) = time(GpnmMethods.ehGpnm(spark, graph, pattern, iquery, slen, w.dUps, w.pUps, Cap).squery)
-    cleanupExcept(spark, keep)
-    val (tNoPar, _) = time(GpnmMethods.uaGpnm(spark, graph, pattern, iquery, slen, w.dUps, w.pUps, Cap, partitioned = false).squery)
-    cleanupExcept(spark, keep)
-    val t0ua  = System.nanoTime()
-    val uaRes = GpnmMethods.uaGpnm(spark, graph, pattern, iquery, slen, w.dUps, w.pUps, Cap, partitioned = true)
-    uaRes.squery.count()
-    val tUaFull = (System.nanoTime() - t0ua) / 1e9
+    val keep    = persistedIds(spark)
+    val results = mutable.LinkedHashMap.empty[String, Map[String, Set[Long]]]
+    def timed(method: String)(run: => GpnmMethods.RunResult): Double = {
+      val t0 = System.nanoTime()
+      val sq = run.squery
+      sq.count()
+      val secs = (System.nanoTime() - t0) / 1e9
+      if (verify) results(method) = collectResult(sq)
+      cleanupExcept(spark, keep)
+      secs
+    }
+    val tInc   = timed("INC-GPNM")(GpnmMethods.incGpnm(spark, graph, pattern, iquery, slen, w.dUps, w.pUps, Cap))
+    val tEh    = timed("EH-GPNM")(GpnmMethods.ehGpnm(spark, graph, pattern, iquery, slen, w.dUps, w.pUps, Cap))
+    val tNoPar = timed("UA-GPNM-NoPar")(GpnmMethods.uaGpnm(spark, graph, pattern, iquery, slen, w.dUps, w.pUps, Cap, partitioned = false))
+    val tUa    = timed("UA-GPNM")(GpnmMethods.uaGpnm(spark, graph, pattern, iquery, slen, w.dUps, w.pUps, Cap, partitioned = true))
     if (verify) {
       val patNew = Updates.applyPatternAll(pattern, w.pUps)
-      val gNew = applyAllData(spark, graph, w.dUps)
-      val (_, expect) = GpnmMethods.scratch(spark, gNew, patNew, Cap)
-      val exp = collectResult(expect)
-      require(collectResult(uaRes.squery) == exp, s"UA-GPNM result mismatch on ${spec.name}")
+      val gNew   = applyAllData(spark, graph, w.dUps)
+      val exp    = collectResult(GpnmMethods.scratch(spark, gNew, patNew, Cap)._2)
+      results.foreach { case (method, got) =>
+        require(got == exp, s"$method result mismatch on ${spec.name}")
+      }
+      cleanupExcept(spark, keep)
     }
-    cleanupExcept(spark, keep)
-    MethodTimes(tUaFull, tNoPar, tEh, tInc)
+    MethodTimes(tUa, tNoPar, tEh, tInc)
   }
 
   /** Apply `ΔG_D` to a graph without SLen maintenance (verification path). */

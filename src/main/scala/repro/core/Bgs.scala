@@ -3,7 +3,9 @@ package repro.core
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
-/** Bounded Graph Simulation matching (§III-A/B) on DataFrames.
+import scala.collection.mutable
+
+/** Bounded Graph Simulation matching (§III-A/B).
   *
   * The maximum BGS match relation is the greatest fixpoint of candidate
   * removal: start from label candidates and repeatedly delete `(u, v)`
@@ -11,6 +13,9 @@ import org.apache.spark.sql.functions._
   * `1 ≤ SLen(v, v') ≤ k` and `(u', v')` still a candidate. GPNM returns,
   * per pattern node, its surviving candidates — or ∅ for every node if any
   * pattern node ends up unmatched (then `G_P ⋢ G_D`).
+  *
+  * Like [[repro.sssp.ApspBfs]], the fixpoint is an in-task kernel: one
+  * `flatMapGroups` task runs the removal loop and the completeness rule.
   *
   * Conventions (DESIGN.md §3.7): `d(v,v)=0` never witnesses an edge;
   * `*` bounds are clamped to the SLen cap (any stored-finite length).
@@ -26,53 +31,49 @@ object Bgs {
       .select(col("pu"), col("id").as("v"))
 
   /** Run the removal fixpoint from `cand0` and apply the all-nodes-matched
-    * rule. Returns the GPNM result `(pu, v)`.
+    * rule. Returns the GPNM result `(pu, v)`, checkpointed.
     */
   def matchFixpoint(spark: SparkSession, cand0: DataFrame, p: PatternGraph,
                     slen: DataFrame, cap: Int): DataFrame = {
-    var cand = cand0.distinct().localCheckpoint()
-    if (p.edges.nonEmpty) {
-      val pe = p.edgesDf(spark, cap)
-      // Only distances that can ever witness an edge matter.
-      val sl = slen
-        .filter(col("d") >= 1 && col("d") <= p.maxBound(cap))
-        .select(col("src").as("wv"), col("dst").as("wv2"), col("d"))
-        .localCheckpoint()
-      var changed = true
-      var iters   = 0
-      while (changed) {
-        iters += 1
-        require(iters <= 100000, "BGS fixpoint failed to converge")
-        val req = cand
-          .join(pe, cand("pu") === pe("ppu"))
-          .select(col("pu"), col("v"), col("ppv"), col("bound"))
-        val witnesses = req
-          .join(sl, req("v") === sl("wv") && col("d") <= req("bound"))
-          .join(cand.select(col("pu").as("cpv"), col("v").as("cv2")),
-                col("wv2") === col("cv2") && col("ppv") === col("cpv"))
-          .select(col("pu"), col("v"), col("ppv"))
-          .distinct()
-        val bad = req
-          .select(col("pu"), col("v"), col("ppv"))
-          .distinct()
-          .join(witnesses, Seq("pu", "v", "ppv"), "left_anti")
-          .select(col("pu"), col("v"))
-          .distinct()
-          .localCheckpoint()
-        if (bad.isEmpty) changed = false
-        else cand = cand.join(bad, Seq("pu", "v"), "left_anti").localCheckpoint()
-      }
-    }
-    finalizeResult(spark, cand, p)
-  }
+    import spark.implicits._
+    val nodeIds = p.nodes.map(_.id)
+    val edges   = p.edges.map(e => (e.src, e.dst, math.min(e.bound, cap)))
+    // Rows (kind, pu, v, w, d): kind 0 is a candidate (pu, v), kind 1 an
+    // SLen row v → w at distance d. Only distances that can ever witness
+    // an edge are shipped.
+    val candRows = cand0.select(lit(0).as("kind"), col("pu"), col("v"), lit(0L).as("w"), lit(0).as("d"))
+    val slenRows = slen
+      .filter(col("d") >= 1 && col("d") <= p.maxBound(cap))
+      .select(lit(1).as("kind"), lit("").as("pu"), col("src").as("v"), col("dst").as("w"), col("d"))
 
-  /** BGS completeness rule: if any pattern node has no surviving candidate,
-    * there is no match at all and every `N_{p_i}` is empty.
-    */
-  private def finalizeResult(spark: SparkSession, cand: DataFrame, p: PatternGraph): DataFrame = {
-    val matchedNodes = cand.select("pu").distinct().collect().map(_.getString(0)).toSet
-    if (p.nodes.forall(n => matchedNodes.contains(n.id))) cand
-    else cand.limit(0)
+    candRows.union(slenRows)
+      .as[(Int, String, Long, Long, Int)]
+      .groupByKey(_ => 0)
+      .flatMapGroups { (_: Int, rows: Iterator[(Int, String, Long, Long, Int)]) =>
+        val cand = mutable.HashMap.from(nodeIds.map(_ -> mutable.HashSet.empty[Long]))
+        val out  = mutable.HashMap.empty[Long, mutable.ArrayBuffer[(Long, Int)]]
+        rows.foreach {
+          case (0, pu, v, _, _) => cand.getOrElseUpdate(pu, mutable.HashSet.empty) += v
+          case (_, _, v, w, d)  => out.getOrElseUpdate(v, mutable.ArrayBuffer.empty) += ((w, d))
+        }
+        // Every round but the last removes a pair, so the loop ends within
+        // |cand0| + 1 rounds.
+        var removed = true
+        while (removed) {
+          removed = false
+          edges.foreach { case (u, u2, k) =>
+            val bad = cand(u).filterNot { v =>
+              out.get(v).exists(_.exists { case (w, d) => d <= k && cand(u2).contains(w) })
+            }
+            if (bad.nonEmpty) { cand(u) --= bad; removed = true }
+          }
+        }
+        if (nodeIds.forall(cand(_).nonEmpty))
+          cand.iterator.flatMap { case (pu, vs) => vs.iterator.map(v => (pu, v)) }
+        else Iterator.empty
+      }
+      .toDF("pu", "v")
+      .localCheckpoint()
   }
 
   /** Full GPNM: label candidates then the removal fixpoint. */

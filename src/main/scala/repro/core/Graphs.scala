@@ -94,7 +94,7 @@ final case class PatternGraph(nodes: Seq[PNode], edges: Seq[PEdge]) {
     (edges.collect { case PEdge(s, d, _) if s == id => d } ++
      edges.collect { case PEdge(s, d, _) if d == id => s }).distinct
 
-  /** Largest finite bound, clamped to `cap`; used to prune SLen joins. */
+  /** Largest finite bound, clamped to `cap`; used to prune SLen rows. */
   def maxBound(cap: Int): Int = {
     val bs = edges.map(e => math.min(e.bound, cap))
     if (bs.isEmpty) 0 else bs.max
@@ -104,12 +104,6 @@ final case class PatternGraph(nodes: Seq[PNode], edges: Seq[PEdge]) {
   def nodesDf(spark: SparkSession): DataFrame = {
     import spark.implicits._
     nodes.map(n => (n.id, n.label)).toDF("pu", "plabel")
-  }
-
-  /** DataFrame view of the edges: (ppu, ppv, bound), `*` clamped to `cap`. */
-  def edgesDf(spark: SparkSession, cap: Int): DataFrame = {
-    import spark.implicits._
-    edges.map(e => (e.src, e.dst, math.min(e.bound, cap))).toDF("ppu", "ppv", "bound")
   }
 }
 

@@ -26,16 +26,17 @@ import scala.collection.mutable
   */
 object ApspBfs {
 
+  /** BFS-root chunks per group: spreads one large group across cores. */
+  private val Chunks = 16
+
   /** SLen rows `(src, dst, d)` for every `src` in `sources` ("id" column)
     * that is a node of `g`, `d ≤ cap`.
     *
     * @param labelGroups label → group, where labels joined by an edge share
     *                    a group; `None` puts every node in one group.
-    * @param chunks      number of BFS-root chunks per group; controls
-    *                    intra-group parallelism.
     */
   def fromSources(spark: SparkSession, g: DataGraph, sources: DataFrame, cap: Int,
-                  labelGroups: Option[Map[String, Int]], chunks: Int = 16): DataFrame = {
+                  labelGroups: Option[Map[String, Int]]): DataFrame = {
     import spark.implicits._
     val (nodeGroups, edgeGroups) = labelGroups match {
       case None =>
@@ -52,14 +53,14 @@ object ApspBfs {
         (nodesG, edgesG)
     }
 
-    val chunkIds = (0 until chunks).toDF("chunk")
+    val chunkIds = (0 until Chunks).toDF("chunk")
     val edgeRows = edgeGroups
       .crossJoin(chunkIds)
       .select(col("group"), col("chunk"), lit(0).as("kind"), col("src").as("a"), col("dst").as("b"))
     val sourceRows = sources
       .select(col("id")).distinct()
       .join(nodeGroups, Seq("id"))
-      .select(col("group"), pmod(col("id"), lit(chunks)).cast("int").as("chunk"),
+      .select(col("group"), pmod(col("id"), lit(Chunks)).cast("int").as("chunk"),
               lit(1).as("kind"), col("id").as("a"), lit(0L).as("b"))
 
     val out = edgeRows.union(sourceRows)
@@ -81,8 +82,8 @@ object ApspBfs {
 
   /** Full SLen matrix (all nodes as sources). */
   def apsp(spark: SparkSession, g: DataGraph, cap: Int,
-           labelGroups: Option[Map[String, Int]], chunks: Int = 16): DataFrame =
-    fromSources(spark, g, g.nodes.select("id"), cap, labelGroups, chunks)
+           labelGroups: Option[Map[String, Int]]): DataFrame =
+    fromSources(spark, g, g.nodes.select("id"), cap, labelGroups)
 
   /** Plain in-memory BFS from each root over an adjacency list; emits
     * `(root, v, d)` for every node within `cap` hops (including the root

@@ -44,6 +44,16 @@ class BgsSpec extends SparkSpec {
     assert(run(lg, pOk) == Map("a" -> Set(1L), "c" -> Set(3L)))
     val pTight = PatternGraph(Seq(PNode("a", "A"), PNode("c", "C")), Seq(PEdge("a", "c", 1)))
     assert(run(lg, pTight) == Map("a" -> Set.empty, "c" -> Set.empty))
+    // A self-loop asks every match for a successor match within 1 hop. On
+    // the chain 0 -> ... -> 24 only the tail lacks one, so removal peels one
+    // node per round (25 rounds); the 2-cycle 100 <-> 101 survives.
+    val chain = TestKit.LocalGraph(
+      ((0L to 24L) ++ Seq(100L, 101L)).map(i => (i, "A")),
+      (0L to 23L).map(i => (i, i + 1)) ++ Seq((100L, 101L), (101L, 100L)))
+    val pLoop = PatternGraph(Seq(PNode("a", "A")), Seq(PEdge("a", "a", 1)))
+    val got   = run(chain, pLoop)
+    assert(got == Map("a" -> Set(100L, 101L)))
+    assert(got == LocalRef.gpnm(chain.nodes, chain.edges, pLoop, cap))
   }
 
   test("completeness rule: unmatched pattern node empties the result") {

@@ -52,14 +52,20 @@ class ApspBfsSpec extends SparkSpec {
     inBothModes { par =>
       val got = apsp(graph(0L to 9L, (0L to 8L).map(i => (i, i + 1))), par, cap = 3)
       assert(got.contains((0L, 3L)) && !got.contains((0L, 4L)))
+      assert(got.values.forall(_ <= 3))
     }
   }
 
   test("fromSources restricts the source set") {
+    val chain = graph(0L to 4L, (0L to 3L).map(i => (i, i + 1)))
+    val lg    = TestKit.randomGraph(5, n = 30, m = 90)
+    val full  = LocalRef.apsp(lg.nodeIds, lg.edges, cap)
     inBothModes { par =>
-      val g   = graph(0L to 4L, (0L to 3L).map(i => (i, i + 1)))
-      val got = TestKit.collectSlen(SlenOps(cap, par).recompute(spark, g)(Seq(2L).toDF("id")))
+      val got = TestKit.collectSlen(SlenOps(cap, par).recompute(spark, chain)(Seq(2L).toDF("id")))
       assert(got == Map((2L, 2L) -> 0, (2L, 3L) -> 1, (2L, 4L) -> 2))
+      val some = TestKit.collectSlen(
+        SlenOps(cap, par).recompute(spark, lg.toDataGraph(spark))(Seq(0L, 1L, 2L).toDF("id")))
+      assert(some == full.filter { case ((s, _), _) => Set(0L, 1L, 2L).contains(s) })
     }
   }
 
