@@ -87,9 +87,17 @@ object Der {
         }
     }
 
-  /** `Aff_N(U_Di)` from the changed-pair diff of the SLen maintenance. */
-  def affectedNodes(changed: DataFrame): Set[Long] =
-    repro.sssp.IncApsp.affectedNodes(changed).collect().map(_.getLong(0)).toSet
+  /** `Aff_N(U_Di)`: the endpoints of a changed-pair set, such as the one
+    * an SLen step returns (`IncApsp.Step.changed`). Each partition sends
+    * its distinct endpoints (at most |V_D|), so one job collects the set.
+    */
+  def affectedNodes(changed: DataFrame): Set[Long] = {
+    val spark = changed.sparkSession
+    import spark.implicits._
+    changed.select(col("src"), col("dst")).as[(Long, Long)]
+      .mapPartitions(ps => ps.flatMap { case (s, d) => Iterator(s, d) }.toSet.iterator)
+      .collect().toSet
+  }
 
   /** DER-III coverage gate: `Aff_N(U_Di) ⊇ Can_N(U_Pi)` (pure, driver). */
   def typeIIIGate(canPi: Set[Long], affDi: Set[Long]): Boolean =

@@ -31,23 +31,21 @@ final case class SlenOps(cap: Int, partitioned: Boolean) {
 /** Application of one data update to the (graph, SLen) state. */
 object Engine {
 
-  /** Apply `u`, returning the updated graph and maintained SLen. */
+  /** Apply `u`, returning the updated graph and the SLen step: the
+    * maintained SLen and the pairs whose distance `u` changed.
+    */
   def applyDataUpdate(spark: SparkSession, g: DataGraph, slen: DataFrame,
-                      u: DataUpdate, ops: SlenOps): (DataGraph, DataFrame) = u match {
+                      u: DataUpdate, ops: SlenOps): (DataGraph, IncApsp.Step) = u match {
     case DataEdgeIns(a, b) =>
-      val g2 = g.insertEdge(spark, a, b)
-      (g2, IncApsp.insertEdge(slen, a, b, ops.cap))
+      (g.insertEdge(spark, a, b), IncApsp.insertEdgeStep(slen, a, b, ops.cap))
     case DataEdgeDel(a, b) =>
       val g2 = g.deleteEdge(a, b)
-      (g2, IncApsp.deleteEdge(slen, a, b, ops.recompute(spark, g2)))
+      (g2, IncApsp.deleteEdgeStep(slen, a, b, ops.recompute(spark, g2)))
     case DataNodeIns(id, label, outTo, inFrom) =>
-      val g2    = g.insertNode(spark, id, label, outTo, inFrom)
-      val base  = IncApsp.insertNode(spark, slen, id)
-      val after = (outTo.map(t => (id, t)) ++ inFrom.map(s => (s, id)))
-        .foldLeft(base) { case (s, (a, b)) => IncApsp.insertEdge(s, a, b, ops.cap) }
-      (g2, after)
+      (g.insertNode(spark, id, label, outTo, inFrom),
+       IncApsp.insertNodeStep(slen, id, outTo, inFrom, ops.cap))
     case DataNodeDel(id) =>
       val g2 = g.removeNode(id)
-      (g2, IncApsp.deleteNode(slen, id, ops.recompute(spark, g2)))
+      (g2, IncApsp.deleteNodeStep(slen, id, ops.recompute(spark, g2)))
   }
 }

@@ -1,7 +1,6 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import repro.sssp.IncApsp
 
 import scala.collection.mutable
 
@@ -19,6 +18,12 @@ import scala.collection.mutable
   *    per uneliminated root.
   *  - UA-GPNM: same, with SLen computation scoped to the combined label
   *    partitions (§V). All four methods share one BFS kernel ([[SlenOps]]).
+  *
+  * Every method applies `ΔG_D` one SLen step per update
+  * ([[Engine.applyDataUpdate]]): the step returns the new SLen with the
+  * pairs whose distance the update changed, and each update's `Aff_N` is
+  * read from those pairs ([[Der.affectedNodes]]), never from a diff of two
+  * whole SLen states.
   *
   * An "incremental GPNM pass" is a BGS fixpoint over the maintained SLen
   * (DESIGN.md §3.2), so every method's final pass runs against the final
@@ -50,10 +55,11 @@ object GpnmMethods {
     var matches = iquery
     var passes  = 0
     dUps.foreach { u =>
-      val (g2, s2) = Engine.applyDataUpdate(spark, curG, curS, u, ops)
-      // INC-GPNM identifies the affected area of each update before its pass.
-      IncApsp.changedPairs(curS, s2).count()
-      curG = g2; curS = s2
+      val (g2, step) = Engine.applyDataUpdate(spark, curG, curS, u, ops)
+      // INC-GPNM identifies each update's affected area (its Aff_N, read
+      // from the SLen step) before the update's own pass.
+      Der.affectedNodes(step.changed)
+      curG = g2; curS = step.slen
       matches = Bgs.run(spark, curG, p, curS, cap); passes += 1
     }
     var pat = p
@@ -122,7 +128,7 @@ object GpnmMethods {
   }
 
   /** Apply `ΔG_D` in sequence, maintaining SLen and collecting each
-    * update's `Aff_N` (DER-II Steps 1–2).
+    * update's `Aff_N` from its SLen step (DER-II Steps 1–2).
     */
   private def advanceData(spark: SparkSession, g: DataGraph, slen: DataFrame,
                           dUps: Seq[DataUpdate], ops: SlenOps)
@@ -131,10 +137,9 @@ object GpnmMethods {
     var curS = slen
     val affSets = mutable.Buffer.empty[(DataUpdate, Set[Long])]
     dUps.foreach { u =>
-      val (g2, s2) = Engine.applyDataUpdate(spark, curG, curS, u, ops)
-      val changed  = IncApsp.changedPairs(curS, s2)
-      affSets += (u -> Der.affectedNodes(changed))
-      curG = g2; curS = s2
+      val (g2, step) = Engine.applyDataUpdate(spark, curG, curS, u, ops)
+      affSets += (u -> Der.affectedNodes(step.changed))
+      curG = g2; curS = step.slen
     }
     (curG, curS, affSets.toSeq)
   }

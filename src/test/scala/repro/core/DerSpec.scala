@@ -152,7 +152,7 @@ class DerSpec extends SparkSpec {
     def applySeq(us: Seq[DataUpdate]): Map[(Long, Long), Int] = {
       var cur = g; var s = slen
       us.foreach { u =>
-        val (g2, s2) = Engine.applyDataUpdate(spark, cur, s, u, ops); cur = g2; s = s2
+        val (g2, step) = Engine.applyDataUpdate(spark, cur, s, u, ops); cur = g2; s = step.slen
       }
       TestKit.collectSlen(s)
     }

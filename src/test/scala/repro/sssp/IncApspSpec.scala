@@ -4,8 +4,11 @@ import org.apache.spark.sql.DataFrame
 import repro.{Oracle, SparkSpec, TestKit}
 import repro.core._
 
+import scala.collection.mutable
+
 /** Incremental SLen maintenance vs from-scratch recomputation, over every
-  * update kind and random update sequences; diffs vs a DuckDB oracle.
+  * update kind and random update sequences; diffs vs a DuckDB oracle; each
+  * update kind's SLen step vs scratch and vs the whole-SLen diff.
   */
 class IncApspSpec extends SparkSpec {
   import spark.implicits._
@@ -15,6 +18,72 @@ class IncApspSpec extends SparkSpec {
   private def recompute(g: DataGraph): IncApsp.Recompute = ops.recompute(spark, g)
   private def scratch(g: DataGraph): Map[(Long, Long), Int] =
     TestKit.collectSlen(ops.fullApsp(spark, g))
+
+  private def rows(df: DataFrame): Set[(Long, Long, Option[Int], Option[Int])] =
+    df.collect().map { r =>
+      (r.getLong(0), r.getLong(1), Option(r.get(2)).map(_.asInstanceOf[Int]),
+       Option(r.get(3)).map(_.asInstanceOf[Int]))
+    }.toSet
+
+  /** Applies `u` to `g0` as one SLen step in both modes and checks that the
+    * step's SLen equals a from-scratch SLen of the updated graph and that
+    * its changed pairs, and so its `Aff_N`, equal the diff of the whole old
+    * and new SLen. Returns the step's `Aff_N` per mode.
+    */
+  private def checkStep(g0: DataGraph, u: DataUpdate): Seq[Set[Long]] = {
+    val affs = mutable.Buffer.empty[Set[Long]]
+    inBothModes { par =>
+      val mode       = SlenOps(cap, par)
+      val s0         = mode.fullApsp(spark, g0)
+      val (g1, step) = Engine.applyDataUpdate(spark, g0, s0, u, mode)
+      assert(TestKit.collectSlen(step.slen) == TestKit.collectSlen(mode.fullApsp(spark, g1)))
+      val full = IncApsp.changedPairs(s0, step.slen)
+      assert(rows(step.changed) == rows(full))
+      val aff = Der.affectedNodes(step.changed)
+      assert(aff == Der.affectedNodes(full))
+      affs += aff
+    }
+    affs.toSeq
+  }
+
+  test("SLen step: edge insert") {
+    val lg = TestKit.randomGraph(41, n = 24, m = 60)
+    val (a, b) = (for (x <- lg.nodeIds; y <- lg.nodeIds
+                       if x != y && !lg.edges.contains((x, y))) yield (x, y)).head
+    assert(checkStep(lg.toDataGraph(spark), DataEdgeIns(a, b)).forall(_.nonEmpty))
+  }
+
+  test("SLen step: edge delete") {
+    val lg = TestKit.randomGraph(42, n = 24, m = 60)
+    val (a, b) = lg.edges.head
+    assert(checkStep(lg.toDataGraph(spark), DataEdgeDel(a, b)).forall(_.contains(a)))
+  }
+
+  test("SLen step: node insert with two in- and two out-neighbours, paths beyond the cap") {
+    // Chain 0 -> 1 -> ... -> 12; v gets 2 -> v, 5 -> v, v -> 6, v -> 12.
+    val lg = TestKit.LocalGraph((0L to 12L).map(i => (i, "A")), (0L until 12L).map(i => (i, i + 1)))
+    val g  = lg.toDataGraph(spark)
+    val u  = DataNodeIns(100L, "B", outTo = Seq(6L, 12L), inFrom = Seq(2L, 5L))
+    assert(checkStep(g, u).forall(aff => aff.contains(100L) && aff.contains(0L)))
+    val got = TestKit.collectSlen(Engine.applyDataUpdate(spark, g, ops.fullApsp(spark, g), u, ops)._2.slen)
+    assert(got((0L, 100L)) == 3) // through 2, not 5
+    assert(got((0L, 12L)) == 4)  // 0 -> 1 -> 2 -> v -> 12, was 12 > cap
+    // Through v, 0 reaches 11 in 3 + 1 + 5 = 9 > cap hops; along the chain in 11.
+    assert(!got.contains((0L, 11L)))
+  }
+
+  test("SLen step: node delete") {
+    val lg = TestKit.randomGraph(43, n = 24, m = 60)
+    val v  = lg.edges.map(_._1).find(x => lg.edges.exists(_._2 == x)).get
+    assert(checkStep(lg.toDataGraph(spark), DataNodeDel(v)).forall(_.contains(v)))
+  }
+
+  test("SLen step: a no-op insert has an empty Aff_N") {
+    val lg = TestKit.LocalGraph(Seq((0L, "A"), (1L, "A"), (2L, "A")),
+                                Seq((0L, 1L), (1L, 2L), (0L, 2L)))
+    // 0 -> 2 already has distance 1, so the duplicate edge changes nothing.
+    assert(checkStep(lg.toDataGraph(spark), DataEdgeIns(0L, 2L)).forall(_.isEmpty))
+  }
 
   test("insertEdge: new shortcut lowers distances") {
     val lg   = TestKit.LocalGraph(Seq((0L, "A"), (1L, "A"), (2L, "A"), (3L, "A")),
@@ -114,8 +183,8 @@ class IncApspSpec extends SparkSpec {
         var g    = g0
         var s    = mode.fullApsp(spark, g)
         ups.foreach { u =>
-          val (g2, s2) = Engine.applyDataUpdate(spark, g, s, u, mode)
-          g = g2; s = s2
+          val (g2, step) = Engine.applyDataUpdate(spark, g, s, u, mode)
+          g = g2; s = step.slen
         }
         assert(TestKit.collectSlen(s) == scratch(g))
       }
