@@ -128,14 +128,6 @@ object IncApsp {
       .filter(!(col("d_old") <=> col("d_new")))
       .select(col("src"), col("dst"), col("d_old"), col("d_new"))
 
-  /** The affected nodes of a changed-pair set: endpoints of changed pairs
-    * (the paper's `Aff_N`).
-    */
-  def affectedNodes(changed: DataFrame): DataFrame =
-    changed.select(col("src").as("id"))
-      .union(changed.select(col("dst").as("id")))
-      .distinct()
-
   /** Min-plus through the inserted edge or node: `(src, dst, dx + dy)` for
     * every row `(src, dx)` of `to` and `(dst, dy)` of `from`, within `cap`.
     */
@@ -159,7 +151,9 @@ object IncApsp {
 
   /** Delete step: drop the rows of the `dropped` sources and add fresh rows
     * for `sources` (a subset of them). Only the dropped sources' rows can
-    * differ, so the diff covers only those rows.
+    * differ, so the diff covers only those rows. The new SLen is
+    * checkpointed: left lazy, every delete in a run would stack one more
+    * filter and union on the plan that every later read replays.
     */
   private def splice(slen: DataFrame, dropped: Set[Long], sources: Set[Long],
                      recompute: Recompute): Step = {
@@ -172,7 +166,7 @@ object IncApsp {
       old.select(col("src"), col("dst"), col("d").as("d_old"), lit(null).cast("int").as("d_new"))
         .union(fresh.select(col("src"), col("dst"), lit(null).cast("int").as("d_old"),
                             col("d").as("d_new"))))
-    Step(slen.filter(!isDropped).union(fresh), changedOf(pairs))
+    Step(slen.filter(!isDropped).union(fresh).localCheckpoint(), changedOf(pairs))
   }
 
   /** `(src, dst, d_old, d_new)` rows reduced to one per pair, each side's
