@@ -37,7 +37,7 @@ object DemoJob {
       val pUps = UpdateGen.patternUpdates(p, snap.labels, 1, 1, 1, 0, seed = 8)
       println(s"\nUpdates: ${(dUps ++ pUps).map(_.uid).mkString(", ")}")
 
-      val res = GpnmMethods.uaGpnm(spark, g, p, iquery, slen, dUps, pUps, cap, partitioned = true)
+      val res = GpnmMethods.uaGpnm(spark, g, p, iquery, slen, dUps, pUps, cap)
       println(s"\nEH-Tree: eliminated=${res.stats.eliminated} of ${dUps.size + pUps.size}, " +
               s"fixpoint passes=${res.stats.fixpointPasses}, depth=${res.stats.treeDepth}")
       println("SQuery:")

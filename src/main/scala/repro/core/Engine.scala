@@ -2,30 +2,26 @@ package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.sssp.{ApspBfs, IncApsp}
-import repro.partition.LabelPartition
 
-/** How SLen is computed for a method. Every method runs the one BFS kernel
-  * [[ApspBfs]]; the only difference is its node grouping, which is exactly
-  * what separates UA-GPNM from UA-GPNM-NoPar (§V): `partitioned` runs the
-  * BFS inside the combined label partitions
-  * ([[LabelPartition.combinedComponents]]), otherwise over all nodes as one
-  * group.
+/** How SLen is computed: every method runs the one BFS kernel [[ApspBfs]]
+  * over the whole graph, bound to the SLen cap.
+  *
+  * @param partitioned ignored. It selected UA-GPNM's §V label-partition
+  *                    scoping, which is removed because it pruned nothing
+  *                    on any bench graph (DESIGN.md §3.3). The field stays
+  *                    only because `perfbench/` still passes and reads it;
+  *                    it goes with that benchmark's change in ROADMAP
+  *                    item 1.
   */
-final case class SlenOps(cap: Int, partitioned: Boolean) {
+final case class SlenOps(cap: Int, partitioned: Boolean = false) {
 
-  private def labelGroups(g: DataGraph): Option[Map[String, Int]] =
-    if (partitioned) Some(LabelPartition.combinedComponents(g)) else None
-
-  /** Recompute SLen rows for a source set over the post-update graph. The
-    * partition is computed when the closure runs, so a deletion that
-    * recomputes no source launches no partition jobs.
-    */
+  /** Recompute SLen rows for a source set over the post-update graph. */
   def recompute(spark: SparkSession, g: DataGraph): IncApsp.Recompute =
-    sources => ApspBfs.fromSources(spark, g, sources, cap, labelGroups(g))
+    sources => ApspBfs.fromSources(spark, g, sources, cap)
 
   /** Full SLen matrix from scratch. */
   def fullApsp(spark: SparkSession, g: DataGraph): DataFrame =
-    ApspBfs.apsp(spark, g, cap, labelGroups(g))
+    ApspBfs.apsp(spark, g, cap)
 }
 
 /** Application of one data update to the (graph, SLen) state. */

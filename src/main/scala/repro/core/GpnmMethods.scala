@@ -16,14 +16,16 @@ import scala.collection.mutable
   *    pass per uneliminated data update, plus one per pattern update.
   *  - UA-GPNM-NoPar: EH-Tree over all updates (Types I, II, III); one pass
   *    per uneliminated root.
-  *  - UA-GPNM: same, with SLen computation scoped to the combined label
-  *    partitions (§V). All four methods share one BFS kernel ([[SlenOps]]).
+  *  - UA-GPNM: the paper adds §V's label-partition scoping of SLen to
+  *    NoPar. It pruned nothing on any bench graph (one combined component
+  *    each, DESIGN.md §3.3) and is not implemented, so UA-GPNM and
+  *    UA-GPNM-NoPar run the same code.
   *
-  * Every method applies `ΔG_D` one SLen step per update
-  * ([[Engine.applyDataUpdate]]): the step returns the new SLen with the
-  * pairs whose distance the update changed, and each update's `Aff_N` is
-  * read from those pairs ([[Der.affectedNodes]]), never from a diff of two
-  * whole SLen states.
+  * All four methods share one SLen path ([[SlenOps]]) and apply `ΔG_D` one
+  * SLen step per update ([[Engine.applyDataUpdate]]): the step returns the
+  * new SLen with the pairs whose distance the update changed. EH-GPNM and
+  * UA-GPNM read each update's `Aff_N` from those pairs
+  * ([[Der.affectedNodes]]), never from a diff of two whole SLen states.
   *
   * An "incremental GPNM pass" is a BGS fixpoint over the maintained SLen
   * (DESIGN.md §3.2), so every method's final pass runs against the final
@@ -39,26 +41,25 @@ object GpnmMethods {
 
   /** From-scratch GPNM: full SLen + full fixpoint. Returns (SLen, IQuery). */
   def scratch(spark: SparkSession, g: DataGraph, p: PatternGraph,
-              cap: Int, partitioned: Boolean = true): (DataFrame, DataFrame) = {
-    val ops  = SlenOps(cap, partitioned)
-    val slen = ops.fullApsp(spark, g)
+              cap: Int): (DataFrame, DataFrame) = {
+    val slen = SlenOps(cap).fullApsp(spark, g)
     (slen, Bgs.run(spark, g, p, slen, cap))
   }
 
-  /** INC-GPNM: per-update incremental procedure for every update. */
+  /** INC-GPNM: per-update incremental procedure for every update. Its cost
+    * is one pass per update; each pass is a full fixpoint (DESIGN.md §3.2),
+    * so no pass reads an update's `Aff_N`, and none is computed.
+    */
   def incGpnm(spark: SparkSession, g: DataGraph, p: PatternGraph,
               iquery: DataFrame, slen: DataFrame,
               dUps: Seq[DataUpdate], pUps: Seq[PatternUpdate], cap: Int): RunResult = {
-    val ops     = SlenOps(cap, partitioned = false)
+    val ops     = SlenOps(cap)
     var curG    = g
     var curS    = slen
     var matches = iquery
     var passes  = 0
     dUps.foreach { u =>
       val (g2, step) = Engine.applyDataUpdate(spark, curG, curS, u, ops)
-      // INC-GPNM identifies each update's affected area (its Aff_N, read
-      // from the SLen step) before the update's own pass.
-      Der.affectedNodes(step.changed)
       curG = g2; curS = step.slen
       matches = Bgs.run(spark, curG, p, curS, cap); passes += 1
     }
@@ -74,8 +75,7 @@ object GpnmMethods {
   def ehGpnm(spark: SparkSession, g: DataGraph, p: PatternGraph,
              iquery: DataFrame, slen: DataFrame,
              dUps: Seq[DataUpdate], pUps: Seq[PatternUpdate], cap: Int): RunResult = {
-    val ops  = SlenOps(cap, partitioned = false)
-    val (curG, curS, affSets) = advanceData(spark, g, slen, dUps, ops)
+    val (curG, curS, affSets) = advanceData(spark, g, slen, dUps, SlenOps(cap))
     val tree = EhTree.build(affSets.map { case (u, s) => (u: Update, s) })
     var matches = iquery
     var passes  = 0
@@ -91,16 +91,18 @@ object GpnmMethods {
   }
 
   /** UA-GPNM (Algorithm 6): EH-Tree over all updates with Types I–III;
-    * one incremental pass per uneliminated root. `partitioned` scopes SLen
-    * computation to label partitions (§V; true = UA-GPNM,
-    * false = UA-GPNM-NoPar).
+    * one incremental pass per uneliminated root.
+    *
+    * @param partitioned ignored: UA-GPNM and UA-GPNM-NoPar run the same
+    *                    code (see [[SlenOps]]). It stays only because
+    *                    `perfbench/` still passes it; it goes with that
+    *                    benchmark's change in ROADMAP item 1.
     */
   def uaGpnm(spark: SparkSession, g: DataGraph, p: PatternGraph,
              iquery: DataFrame, slen: DataFrame,
              dUps: Seq[DataUpdate], pUps: Seq[PatternUpdate], cap: Int,
-             partitioned: Boolean): RunResult = {
-    val ops = SlenOps(cap, partitioned)
-    val (curG, curS, affSets) = advanceData(spark, g, slen, dUps, ops)
+             partitioned: Boolean = false): RunResult = {
+    val (curG, curS, affSets) = advanceData(spark, g, slen, dUps, SlenOps(cap))
     val ctx = Der.context(g, iquery)
     // DER-I candidate sets against the original SLen and IQuery (Alg 1).
     val canSets = pUps.map(u => u -> Der.candidateNodes(spark, u, p, ctx, slen, cap))

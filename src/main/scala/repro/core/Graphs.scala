@@ -11,8 +11,10 @@ import org.apache.spark.sql.functions._
   *     which is how the paper uses it (job titles);
   *   - `edges(src: Long, dst: Long)` — unweighted directed edges.
   *
-  * Update application returns a new `DataGraph`; `localCheckpoint` keeps
-  * plans flat across long update sequences.
+  * Update application returns a new `DataGraph` whose sides are lazy
+  * `union`s and `filter`s over the previous ones: no update launches a
+  * Spark job. A batch holds at most tens of updates, so every later read
+  * replays that many small steps over the (cached) base graph.
   */
 final case class DataGraph(nodes: DataFrame, edges: DataFrame) {
 
@@ -20,29 +22,28 @@ final case class DataGraph(nodes: DataFrame, edges: DataFrame) {
   def insertEdge(spark: SparkSession, a: Long, b: Long): DataGraph = {
     import spark.implicits._
     val added = Seq((a, b)).toDF("src", "dst")
-    copy(edges = edges.union(added).distinct().localCheckpoint())
+    copy(edges = edges.union(added).distinct())
   }
 
   /** Delete a directed edge; no-op if absent. */
   def deleteEdge(a: Long, b: Long): DataGraph =
-    copy(edges = edges.filter(!(col("src") === a && col("dst") === b)).localCheckpoint())
+    copy(edges = edges.filter(!(col("src") === a && col("dst") === b)))
 
-  /** Insert a node with its attachment edges (out- and in-neighbours). */
+  /** Insert a node with its attachment edges (out- and in-neighbours).
+    * `id` must not be a node yet, so neither its row nor its edges can
+    * duplicate an existing one.
+    */
   def insertNode(spark: SparkSession, id: Long, label: String,
                  outTo: Seq[Long], inFrom: Seq[Long]): DataGraph = {
     import spark.implicits._
-    val n2 = nodes.union(Seq((id, label)).toDF("id", "label")).distinct().localCheckpoint()
-    val newEdges = (outTo.map(t => (id, t)) ++ inFrom.map(s => (s, id))).toDF("src", "dst")
-    val e2 = edges.union(newEdges).distinct().localCheckpoint()
-    DataGraph(n2, e2)
+    val newEdges = (outTo.map(t => (id, t)) ++ inFrom.map(s => (s, id))).distinct.toDF("src", "dst")
+    DataGraph(nodes.union(Seq((id, label)).toDF("id", "label")), edges.union(newEdges))
   }
 
   /** Delete a node and all its incident edges. */
   def removeNode(id: Long): DataGraph =
-    DataGraph(
-      nodes.filter(col("id") =!= id).localCheckpoint(),
-      edges.filter(col("src") =!= id && col("dst") =!= id).localCheckpoint()
-    )
+    DataGraph(nodes.filter(col("id") =!= id),
+              edges.filter(col("src") =!= id && col("dst") =!= id))
 
   /** Number of nodes (an action). */
   def numNodes: Long = nodes.count()

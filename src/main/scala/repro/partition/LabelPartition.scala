@@ -10,6 +10,10 @@ import repro.core.DataGraph
   * observation [36]); cross-partition edges are recorded with the
   * partition of their *starting* node. Inner/outer bridge nodes follow
   * Definitions 1 and 2.
+  *
+  * No SLen computation uses the partition: on every bench graph all labels
+  * combine into one component (DESIGN.md §3.3), so scoping pruned nothing
+  * and was removed. `perfbench/` still probes the combined components.
   */
 object LabelPartition {
 

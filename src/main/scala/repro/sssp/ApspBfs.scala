@@ -9,14 +9,9 @@ import scala.collection.mutable
 /** The shortest-path-length kernel: exact in-memory BFS runs executed as
   * distributed `flatMapGroups` tasks. Every method computes SLen with it.
   *
-  * Nodes are split into *groups* that no edge crosses; each `(group,
-  * chunk)` task gets its group's edges and the BFS roots of that chunk,
-  * so one large group still spreads across cores. Across groups distances
-  * are ∞. The node → group assignment is the kernel's only input that
-  * differs between UA-GPNM and the other methods:
-  *   - `labelGroups = Some(label → group)`: the combined label partitions
-  *     of §V (UA-GPNM, through `SlenOps(cap, partitioned = true)`);
-  *   - `labelGroups = None`: every node in one group, no label joins.
+  * The BFS roots are split into chunks; each chunk's task gets every edge
+  * and the roots of that chunk, so one large graph still spreads across
+  * cores.
   *
   * SLen representation (Table II): `(src, dst, d)` rows for *finite*
   * distances only, `d ∈ [0, cap]`, including the self rows `(v, v, 0)`.
@@ -26,52 +21,33 @@ import scala.collection.mutable
   */
 object ApspBfs {
 
-  /** BFS-root chunks per group: spreads one large group across cores. */
+  /** BFS-root chunks: spreads one large graph across cores. */
   private val Chunks = 16
 
   /** SLen rows `(src, dst, d)` for every `src` in `sources` ("id" column)
     * that is a node of `g`, `d ≤ cap`.
-    *
-    * @param labelGroups label → group, where labels joined by an edge share
-    *                    a group; `None` puts every node in one group.
     */
-  def fromSources(spark: SparkSession, g: DataGraph, sources: DataFrame, cap: Int,
-                  labelGroups: Option[Map[String, Int]]): DataFrame = {
+  def fromSources(spark: SparkSession, g: DataGraph, sources: DataFrame, cap: Int): DataFrame = {
     import spark.implicits._
-    val (nodeGroups, edgeGroups) = labelGroups match {
-      case None =>
-        (g.nodes.select(col("id"), lit(0).as("group")),
-         g.edges.select(lit(0).as("group"), col("src"), col("dst")))
-      case Some(groupOf) =>
-        val nodesG = g.nodes.join(groupOf.toSeq.toDF("label", "group"), Seq("label"))
-          .select(col("id"), col("group"))
-        // Both endpoints of an edge share a group, so annotating the
-        // source suffices.
-        val edgesG = g.edges
-          .join(nodesG.withColumnRenamed("id", "src"), Seq("src"))
-          .select(col("group"), col("src"), col("dst"))
-        (nodesG, edgesG)
-    }
-
     val chunkIds = (0 until Chunks).toDF("chunk")
-    val edgeRows = edgeGroups
+    val edgeRows = g.edges
       .crossJoin(chunkIds)
-      .select(col("group"), col("chunk"), lit(0).as("kind"), col("src").as("a"), col("dst").as("b"))
+      .select(col("chunk"), lit(0).as("kind"), col("src").as("a"), col("dst").as("b"))
     val sourceRows = sources
       .select(col("id")).distinct()
-      .join(nodeGroups, Seq("id"))
-      .select(col("group"), pmod(col("id"), lit(Chunks)).cast("int").as("chunk"),
+      .join(g.nodes.select(col("id")), Seq("id"))
+      .select(pmod(col("id"), lit(Chunks)).cast("int").as("chunk"),
               lit(1).as("kind"), col("id").as("a"), lit(0L).as("b"))
 
     val out = edgeRows.union(sourceRows)
-      .as[(Int, Int, Int, Long, Long)]
-      .groupByKey { case (group, chunk, _, _, _) => (group, chunk) }
-      .flatMapGroups { (_: (Int, Int), rows: Iterator[(Int, Int, Int, Long, Long)]) =>
+      .as[(Int, Int, Long, Long)]
+      .groupByKey(_._1)
+      .flatMapGroups { (_: Int, rows: Iterator[(Int, Int, Long, Long)]) =>
         val edges = mutable.ArrayBuffer.empty[(Long, Long)]
         val roots = mutable.ArrayBuffer.empty[Long]
         rows.foreach {
-          case (_, _, 0, a, b) => edges += ((a, b))
-          case (_, _, _, a, _) => roots += a
+          case (_, 0, a, b) => edges += ((a, b))
+          case (_, _, a, _) => roots += a
         }
         if (roots.isEmpty) Iterator.empty
         else localBfs(edges.toSeq, roots.toSeq, cap)
@@ -81,9 +57,8 @@ object ApspBfs {
   }
 
   /** Full SLen matrix (all nodes as sources). */
-  def apsp(spark: SparkSession, g: DataGraph, cap: Int,
-           labelGroups: Option[Map[String, Int]]): DataFrame =
-    fromSources(spark, g, g.nodes.select("id"), cap, labelGroups)
+  def apsp(spark: SparkSession, g: DataGraph, cap: Int): DataFrame =
+    fromSources(spark, g, g.nodes.select("id"), cap)
 
   /** Plain in-memory BFS from each root over an adjacency list; emits
     * `(root, v, d)` for every node within `cap` hops (including the root

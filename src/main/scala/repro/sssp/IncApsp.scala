@@ -25,9 +25,8 @@ import org.apache.spark.sql.functions._
   *   routed its shortest path through the deleted edge); node delete `v`
   *   collects the sources that reach `v`. Those sources are recomputed by a
   *   restricted multi-source BFS the caller supplies (`SlenOps.recompute`:
-  *   the [[ApspBfs]] kernel, scoped to label partitions for UA-GPNM and
-  *   unscoped for the other methods); the changed pairs are a diff of only
-  *   their old and new rows.
+  *   the [[ApspBfs]] kernel); the changed pairs are a diff of only their
+  *   old and new rows.
   *
   * [[changedPairs]], the diff of two whole SLen states, is the reference
   * the steps are tested against.

@@ -15,7 +15,7 @@ class SmokeSpec extends SparkSpec {
     val g  = lg.toDataGraph(spark)
     val p  = TestKit.randomPattern(lg, seed = 2, nNodes = 3, nEdges = 3)
 
-    val slen = SlenOps(cap, partitioned = false).fullApsp(spark, g)
+    val slen = SlenOps(cap).fullApsp(spark, g)
     assert(TestKit.collectSlen(slen) == LocalRef.apsp(lg.nodeIds, lg.edges, cap))
 
     val iquery = Bgs.run(spark, g, p, slen, cap)
@@ -24,7 +24,7 @@ class SmokeSpec extends SparkSpec {
     val snap = UpdateGen.snapshot(g)
     val dUps = UpdateGen.dataUpdates(snap, 1, 1, 1, 1, seed = 3)
     val pUps = UpdateGen.patternUpdates(p, snap.labels, 1, 1, 0, 0, seed = 4)
-    val res  = GpnmMethods.uaGpnm(spark, g, p, iquery, slen, dUps, pUps, cap, partitioned = true)
+    val res  = GpnmMethods.uaGpnm(spark, g, p, iquery, slen, dUps, pUps, cap)
 
     val lgNew  = TestKit.applyDataLocal(lg, dUps)
     val pNew   = Updates.applyPatternAll(p, pUps)

@@ -14,12 +14,6 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
 
   override def afterAll(): Unit = { super.afterAll() }
-
-  /** Run `body` with SLen scoped to label partitions (UA-GPNM) and unscoped
-    * (the other methods): the two modes of `SlenOps`.
-    */
-  def inBothModes(body: Boolean => Unit): Unit =
-    Seq(true, false).foreach(partitioned => withClue(s"partitioned=$partitioned: ")(body(partitioned)))
 }
 
 object SparkSpec {

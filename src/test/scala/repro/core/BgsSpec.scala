@@ -11,7 +11,7 @@ class BgsSpec extends SparkSpec {
 
   private def run(lg: TestKit.LocalGraph, p: PatternGraph): Map[String, Set[Long]] = {
     val g    = lg.toDataGraph(spark)
-    val slen = SlenOps(cap, partitioned = false).fullApsp(spark, g)
+    val slen = SlenOps(cap).fullApsp(spark, g)
     TestKit.collectMatches(Bgs.run(spark, g, p, slen, cap), p)
   }
 
@@ -108,7 +108,7 @@ class BgsSpec extends SparkSpec {
     val lg   = TestKit.randomGraph(91, n = 30, m = 90)
     val g    = lg.toDataGraph(spark)
     val p    = TestKit.randomPattern(lg, 92, nNodes = 4, nEdges = 5)
-    val slen = SlenOps(cap, partitioned = false).fullApsp(spark, g)
+    val slen = SlenOps(cap).fullApsp(spark, g)
     val r1   = Bgs.run(spark, g, p, slen, cap)
     val r2   = Bgs.matchFixpoint(spark, r1, p, slen, cap)
     assert(TestKit.collectMatches(r1, p) == TestKit.collectMatches(r2, p))

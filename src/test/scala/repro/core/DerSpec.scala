@@ -20,7 +20,7 @@ class DerSpec extends SparkSpec {
       Seq((1L, "PM"), (2L, "PM"), (3L, "TE"), (4L, "TE"), (5L, "S")),
       Seq((1L, 3L), (1L, 4L), (5L, 3L)))
     val g    = lg.toDataGraph(spark)
-    val slen = SlenOps(cap, partitioned = false).fullApsp(spark, g)
+    val slen = SlenOps(cap).fullApsp(spark, g)
     (lg, g, slen)
   }
   private lazy val patNoEdges = PatternGraph(
@@ -148,7 +148,7 @@ class DerSpec extends SparkSpec {
 
   test("Theorem 2: commuting data updates reach the same SLen in any order") {
     val (_, g, slen) = world
-    val ops = SlenOps(cap, partitioned = false)
+    val ops = SlenOps(cap)
     def applySeq(us: Seq[DataUpdate]): Map[(Long, Long), Int] = {
       var cur = g; var s = slen
       us.foreach { u =>

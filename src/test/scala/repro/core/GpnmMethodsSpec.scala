@@ -6,7 +6,8 @@ import repro.gen.UpdateGen
 /** The paper's implicit correctness requirement: INC-GPNM, EH-GPNM,
   * UA-GPNM-NoPar and UA-GPNM all deliver the same SQuery as a from-scratch
   * GPNM on the updated graphs; plus work-counter sanity (INC pays one pass
-  * per update, UA pays one per uneliminated root).
+  * per update, UA pays one per uneliminated root). UA-GPNM and
+  * UA-GPNM-NoPar run the same code, so each scenario calls it once.
   */
 class GpnmMethodsSpec extends SparkSpec {
 
@@ -38,15 +39,11 @@ class GpnmMethodsSpec extends SparkSpec {
     Scenario(lg, g, p, slen, iquery, dUps, pUps)
   }
 
-  test("scratch (partitioned) equals scratch (global) equals LocalRef") {
+  test("scratch equals LocalRef") {
     val lg = TestKit.randomGraph(3, n = 30, m = 90)
-    val g  = lg.toDataGraph(spark)
     val p  = TestKit.randomPattern(lg, 4)
-    val (_, iqPar)  = GpnmMethods.scratch(spark, g, p, cap, partitioned = true)
-    val (_, iqGlob) = GpnmMethods.scratch(spark, g, p, cap, partitioned = false)
-    val expect = LocalRef.gpnm(lg.nodes, lg.edges, p, cap)
-    assert(TestKit.collectMatches(iqPar, p) == expect)
-    assert(TestKit.collectMatches(iqGlob, p) == expect)
+    val (_, iq) = GpnmMethods.scratch(spark, lg.toDataGraph(spark), p, cap)
+    assert(TestKit.collectMatches(iq, p) == LocalRef.gpnm(lg.nodes, lg.edges, p, cap))
   }
 
   for (seed <- 1 to 5)
@@ -54,12 +51,10 @@ class GpnmMethodsSpec extends SparkSpec {
       val sc = scenario(seed * 17)
       val inc = GpnmMethods.incGpnm(spark, sc.g, sc.p, sc.iquery, sc.slen, sc.dUps, sc.pUps, cap)
       val eh  = GpnmMethods.ehGpnm(spark, sc.g, sc.p, sc.iquery, sc.slen, sc.dUps, sc.pUps, cap)
-      val ua0 = GpnmMethods.uaGpnm(spark, sc.g, sc.p, sc.iquery, sc.slen, sc.dUps, sc.pUps, cap, partitioned = false)
-      val ua1 = GpnmMethods.uaGpnm(spark, sc.g, sc.p, sc.iquery, sc.slen, sc.dUps, sc.pUps, cap, partitioned = true)
+      val ua  = GpnmMethods.uaGpnm(spark, sc.g, sc.p, sc.iquery, sc.slen, sc.dUps, sc.pUps, cap)
       assert(TestKit.collectMatches(inc.squery, sc.pNew) == sc.expected, "INC-GPNM")
       assert(TestKit.collectMatches(eh.squery, sc.pNew) == sc.expected, "EH-GPNM")
-      assert(TestKit.collectMatches(ua0.squery, sc.pNew) == sc.expected, "UA-GPNM-NoPar")
-      assert(TestKit.collectMatches(ua1.squery, sc.pNew) == sc.expected, "UA-GPNM")
+      assert(TestKit.collectMatches(ua.squery, sc.pNew) == sc.expected, "UA-GPNM")
     }
 
   test("INC-GPNM pays one fixpoint pass per update") {
@@ -78,7 +73,7 @@ class GpnmMethodsSpec extends SparkSpec {
   test("UA-GPNM never pays more passes than EH-GPNM") {
     val sc  = scenario(103)
     val eh  = GpnmMethods.ehGpnm(spark, sc.g, sc.p, sc.iquery, sc.slen, sc.dUps, sc.pUps, cap)
-    val ua  = GpnmMethods.uaGpnm(spark, sc.g, sc.p, sc.iquery, sc.slen, sc.dUps, sc.pUps, cap, partitioned = false)
+    val ua  = GpnmMethods.uaGpnm(spark, sc.g, sc.p, sc.iquery, sc.slen, sc.dUps, sc.pUps, cap)
     assert(ua.stats.fixpointPasses <= eh.stats.fixpointPasses)
     assert(ua.stats.fixpointPasses >= 1)
   }
@@ -88,7 +83,7 @@ class GpnmMethodsSpec extends SparkSpec {
     val iq = TestKit.collectMatches(sc.iquery, sc.p)
     val inc = GpnmMethods.incGpnm(spark, sc.g, sc.p, sc.iquery, sc.slen, Nil, Nil, cap)
     val eh  = GpnmMethods.ehGpnm(spark, sc.g, sc.p, sc.iquery, sc.slen, Nil, Nil, cap)
-    val ua  = GpnmMethods.uaGpnm(spark, sc.g, sc.p, sc.iquery, sc.slen, Nil, Nil, cap, partitioned = true)
+    val ua  = GpnmMethods.uaGpnm(spark, sc.g, sc.p, sc.iquery, sc.slen, Nil, Nil, cap)
     assert(TestKit.collectMatches(inc.squery, sc.p) == iq)
     assert(TestKit.collectMatches(eh.squery, sc.p) == iq)
     assert(TestKit.collectMatches(ua.squery, sc.p) == iq)
@@ -97,7 +92,7 @@ class GpnmMethodsSpec extends SparkSpec {
 
   test("data-only updates") {
     val sc = scenario(105)
-    val ua = GpnmMethods.uaGpnm(spark, sc.g, sc.p, sc.iquery, sc.slen, sc.dUps, Nil, cap, partitioned = true)
+    val ua = GpnmMethods.uaGpnm(spark, sc.g, sc.p, sc.iquery, sc.slen, sc.dUps, Nil, cap)
     val lgNew = TestKit.applyDataLocal(sc.lg, sc.dUps)
     assert(TestKit.collectMatches(ua.squery, sc.p) ==
       LocalRef.gpnm(lgNew.nodes, lgNew.edges, sc.p, cap))
@@ -105,7 +100,7 @@ class GpnmMethodsSpec extends SparkSpec {
 
   test("pattern-only updates") {
     val sc = scenario(106)
-    val ua = GpnmMethods.uaGpnm(spark, sc.g, sc.p, sc.iquery, sc.slen, Nil, sc.pUps, cap, partitioned = true)
+    val ua = GpnmMethods.uaGpnm(spark, sc.g, sc.p, sc.iquery, sc.slen, Nil, sc.pUps, cap)
     val pNew = Updates.applyPatternAll(sc.p, sc.pUps)
     assert(TestKit.collectMatches(ua.squery, pNew) ==
       LocalRef.gpnm(sc.lg.nodes, sc.lg.edges, pNew, cap))
@@ -122,7 +117,7 @@ class GpnmMethodsSpec extends SparkSpec {
     val (slen, iquery) = GpnmMethods.scratch(spark, g, p, cap)
     val dUps: Seq[DataUpdate]    = Seq(DataEdgeIns(2L, 1L))
     val pUps: Seq[PatternUpdate] = Seq(PatEdgeIns(PEdge("pm", "te", 2)))
-    val ua = GpnmMethods.uaGpnm(spark, g, p, iquery, slen, dUps, pUps, cap, partitioned = true)
+    val ua = GpnmMethods.uaGpnm(spark, g, p, iquery, slen, dUps, pUps, cap)
     assert(ua.stats.eliminated >= 1)
     val lgNew = TestKit.applyDataLocal(lg, dUps)
     val pNew  = Updates.applyPatternAll(p, pUps)

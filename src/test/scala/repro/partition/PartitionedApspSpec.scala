@@ -3,18 +3,20 @@ package repro.partition
 import repro.{SparkSpec, TestKit}
 import repro.core.{DataGraph, LocalRef, SlenOps}
 
-/** Theorem 3: scoping the SLen BFS kernel to combined label partitions
-  * (UA-GPNM) gives the same SLen as running it over the whole graph, and
-  * both equal the brute-force reference, including absent sources
-  * and disconnected partitions. Every case runs in both modes.
+/** Theorem 3 on the one SLen kernel. No edge crosses two combined label
+  * partitions (Algorithm 4), so SLen over the whole graph already is SLen
+  * per combined partition: the theorem holds trivially, and no method
+  * scopes the kernel. These cases check that the kernel finds paths that
+  * leave and re-enter a label partition, gives ∞ across disconnected
+  * combined partitions, and equals the brute-force reference.
   */
 class PartitionedApspSpec extends SparkSpec {
   import spark.implicits._
 
   private val cap = 8
 
-  private def apsp(g: DataGraph, partitioned: Boolean): Map[(Long, Long), Int] =
-    TestKit.collectSlen(SlenOps(cap, partitioned).fullApsp(spark, g))
+  private def apsp(g: DataGraph): Map[(Long, Long), Int] =
+    TestKit.collectSlen(SlenOps(cap).fullApsp(spark, g))
 
   /** Two random graphs over disjoint label sets, side by side, so the label
     * partition has at least two combined components.
@@ -39,14 +41,12 @@ class PartitionedApspSpec extends SparkSpec {
           (20L, "TE"), (21L, "TE"), (22L, "TE")),
       Seq((1L, 2L), (2L, 3L), (3L, 4L), (2L, 20L), (20L, 21L), (21L, 22L))
     )
-    inBothModes { par =>
-      val got = apsp(g, par)
-      // Table IX shape: SE2 reaches TE1/TE2/TE3 at 1/2/3; SE1 at 2/3/4.
-      assert(got((2L, 20L)) == 1 && got((2L, 21L)) == 2 && got((2L, 22L)) == 3)
-      assert(got((1L, 20L)) == 2 && got((1L, 21L)) == 3 && got((1L, 22L)) == 4)
-      // SE3/SE4 cannot reach P_TE.
-      assert(!got.contains((3L, 20L)) && !got.contains((4L, 20L)))
-    }
+    val got = apsp(g)
+    // Table IX shape: SE2 reaches TE1/TE2/TE3 at 1/2/3; SE1 at 2/3/4.
+    assert(got((2L, 20L)) == 1 && got((2L, 21L)) == 2 && got((2L, 22L)) == 3)
+    assert(got((1L, 20L)) == 2 && got((1L, 21L)) == 3 && got((1L, 22L)) == 4)
+    // SE3/SE4 cannot reach P_TE.
+    assert(!got.contains((3L, 20L)) && !got.contains((4L, 20L)))
   }
 
   test("disconnected combined partitions: cross distances are infinite") {
@@ -55,10 +55,9 @@ class PartitionedApspSpec extends SparkSpec {
       Seq((1L, "A"), (2L, "A"), (3L, "B"), (4L, "B")),
       Seq((1L, 2L), (3L, 4L))
     )
-    inBothModes { par =>
-      assert(apsp(g, par) == Map((1L, 1L) -> 0, (2L, 2L) -> 0, (3L, 3L) -> 0, (4L, 4L) -> 0,
-                                 (1L, 2L) -> 1, (3L, 4L) -> 1))
-    }
+    assert(LabelPartition.combinedComponents(g).values.toSet.size == 2)
+    assert(apsp(g) == Map((1L, 1L) -> 0, (2L, 2L) -> 0, (3L, 3L) -> 0, (4L, 4L) -> 0,
+                          (1L, 2L) -> 1, (3L, 4L) -> 1))
   }
 
   test("path leaving and re-entering a partition is found (Alg 4 combination)") {
@@ -68,23 +67,24 @@ class PartitionedApspSpec extends SparkSpec {
       Seq((1L, "A"), (2L, "A"), (3L, "B")),
       Seq((1L, 3L), (3L, 2L))
     )
-    inBothModes { par => assert(apsp(g, par)((1L, 2L)) == 2) }
+    assert(apsp(g)((1L, 2L)) == 2)
   }
 
   test("sources not present in the graph are ignored") {
     val g = DataGraph.fromLocal(spark, Seq((1L, "A")), Seq.empty)
-    inBothModes { par =>
-      assert(SlenOps(cap, par).recompute(spark, g)(Seq(99L).toDF("id")).isEmpty)
-    }
+    assert(SlenOps(cap).recompute(spark, g)(Seq(99L).toDF("id")).isEmpty)
   }
 
   for (seed <- 1 to 10)
     test(s"equals global join-BFS APSP on random graph (seed=$seed)") {
       val lg = twoComponentGraph(seed)
       val g  = lg.toDataGraph(spark)
-      assert(LabelPartition.combinedComponents(g).values.toSet.size >= 2)
-      val scoped = apsp(g, partitioned = true)
-      assert(scoped == apsp(g, partitioned = false))
-      assert(scoped == LocalRef.apsp(lg.nodeIds, lg.edges, cap))
+      val comp = LabelPartition.combinedComponents(g)
+      assert(comp.values.toSet.size >= 2)
+      val got = apsp(g)
+      assert(got == LocalRef.apsp(lg.nodeIds, lg.edges, cap))
+      // ∞ across combined partitions: no finite row joins two of them.
+      val compOf = lg.nodes.map { case (id, l) => id -> comp(l) }.toMap
+      assert(got.keySet.forall { case (s, d) => compOf(s) == compOf(d) })
     }
 }

@@ -4,8 +4,6 @@ import org.apache.spark.sql.DataFrame
 import repro.{Oracle, SparkSpec, TestKit}
 import repro.core._
 
-import scala.collection.mutable
-
 /** Incremental SLen maintenance vs from-scratch recomputation, over every
   * update kind and random update sequences; diffs vs a DuckDB oracle; each
   * update kind's SLen step vs scratch and vs the whole-SLen diff.
@@ -14,7 +12,7 @@ class IncApspSpec extends SparkSpec {
   import spark.implicits._
 
   private val cap = 8
-  private val ops = SlenOps(cap, partitioned = false)
+  private val ops = SlenOps(cap)
   private def recompute(g: DataGraph): IncApsp.Recompute = ops.recompute(spark, g)
   private def scratch(g: DataGraph): Map[(Long, Long), Int] =
     TestKit.collectSlen(ops.fullApsp(spark, g))
@@ -25,38 +23,33 @@ class IncApspSpec extends SparkSpec {
        Option(r.get(3)).map(_.asInstanceOf[Int]))
     }.toSet
 
-  /** Applies `u` to `g0` as one SLen step in both modes and checks that the
-    * step's SLen equals a from-scratch SLen of the updated graph and that
-    * its changed pairs, and so its `Aff_N`, equal the diff of the whole old
-    * and new SLen. Returns the step's `Aff_N` per mode.
+  /** Applies `u` to `g0` as one SLen step and checks that the step's SLen
+    * equals a from-scratch SLen of the updated graph and that its changed
+    * pairs, and so its `Aff_N`, equal the diff of the whole old and new
+    * SLen. Returns the step's `Aff_N`.
     */
-  private def checkStep(g0: DataGraph, u: DataUpdate): Seq[Set[Long]] = {
-    val affs = mutable.Buffer.empty[Set[Long]]
-    inBothModes { par =>
-      val mode       = SlenOps(cap, par)
-      val s0         = mode.fullApsp(spark, g0)
-      val (g1, step) = Engine.applyDataUpdate(spark, g0, s0, u, mode)
-      assert(TestKit.collectSlen(step.slen) == TestKit.collectSlen(mode.fullApsp(spark, g1)))
-      val full = IncApsp.changedPairs(s0, step.slen)
-      assert(rows(step.changed) == rows(full))
-      val aff = Der.affectedNodes(step.changed)
-      assert(aff == Der.affectedNodes(full))
-      affs += aff
-    }
-    affs.toSeq
+  private def checkStep(g0: DataGraph, u: DataUpdate): Set[Long] = {
+    val s0         = ops.fullApsp(spark, g0)
+    val (g1, step) = Engine.applyDataUpdate(spark, g0, s0, u, ops)
+    assert(TestKit.collectSlen(step.slen) == scratch(g1))
+    val full = IncApsp.changedPairs(s0, step.slen)
+    assert(rows(step.changed) == rows(full))
+    val aff = Der.affectedNodes(step.changed)
+    assert(aff == Der.affectedNodes(full))
+    aff
   }
 
   test("SLen step: edge insert") {
     val lg = TestKit.randomGraph(41, n = 24, m = 60)
     val (a, b) = (for (x <- lg.nodeIds; y <- lg.nodeIds
                        if x != y && !lg.edges.contains((x, y))) yield (x, y)).head
-    assert(checkStep(lg.toDataGraph(spark), DataEdgeIns(a, b)).forall(_.nonEmpty))
+    assert(checkStep(lg.toDataGraph(spark), DataEdgeIns(a, b)).nonEmpty)
   }
 
   test("SLen step: edge delete") {
     val lg = TestKit.randomGraph(42, n = 24, m = 60)
     val (a, b) = lg.edges.head
-    assert(checkStep(lg.toDataGraph(spark), DataEdgeDel(a, b)).forall(_.contains(a)))
+    assert(checkStep(lg.toDataGraph(spark), DataEdgeDel(a, b)).contains(a))
   }
 
   test("SLen step: node insert with two in- and two out-neighbours, paths beyond the cap") {
@@ -64,7 +57,8 @@ class IncApspSpec extends SparkSpec {
     val lg = TestKit.LocalGraph((0L to 12L).map(i => (i, "A")), (0L until 12L).map(i => (i, i + 1)))
     val g  = lg.toDataGraph(spark)
     val u  = DataNodeIns(100L, "B", outTo = Seq(6L, 12L), inFrom = Seq(2L, 5L))
-    assert(checkStep(g, u).forall(aff => aff.contains(100L) && aff.contains(0L)))
+    val aff = checkStep(g, u)
+    assert(aff.contains(100L) && aff.contains(0L))
     val got = TestKit.collectSlen(Engine.applyDataUpdate(spark, g, ops.fullApsp(spark, g), u, ops)._2.slen)
     assert(got((0L, 100L)) == 3) // through 2, not 5
     assert(got((0L, 12L)) == 4)  // 0 -> 1 -> 2 -> v -> 12, was 12 > cap
@@ -75,7 +69,7 @@ class IncApspSpec extends SparkSpec {
   test("SLen step: node delete") {
     val lg = TestKit.randomGraph(43, n = 24, m = 60)
     val v  = lg.edges.map(_._1).find(x => lg.edges.exists(_._2 == x)).get
-    assert(checkStep(lg.toDataGraph(spark), DataNodeDel(v)).forall(_.contains(v)))
+    assert(checkStep(lg.toDataGraph(spark), DataNodeDel(v)).contains(v))
   }
 
   test("SLen step: a run of deletes leaves a checkpointed SLen") {
@@ -97,7 +91,7 @@ class IncApspSpec extends SparkSpec {
     val lg = TestKit.LocalGraph(Seq((0L, "A"), (1L, "A"), (2L, "A")),
                                 Seq((0L, 1L), (1L, 2L), (0L, 2L)))
     // 0 -> 2 already has distance 1, so the duplicate edge changes nothing.
-    assert(checkStep(lg.toDataGraph(spark), DataEdgeIns(0L, 2L)).forall(_.isEmpty))
+    assert(checkStep(lg.toDataGraph(spark), DataEdgeIns(0L, 2L)).isEmpty)
   }
 
   test("insertEdge: new shortcut lowers distances") {
@@ -193,16 +187,13 @@ class IncApspSpec extends SparkSpec {
       val g0   = lg.toDataGraph(spark)
       val snap = repro.gen.UpdateGen.snapshot(g0)
       val ups  = repro.gen.UpdateGen.dataUpdates(snap, 2, 2, 1, 1, seed = seed * 7)
-      inBothModes { par =>
-        val mode = SlenOps(cap, par)
-        var g    = g0
-        var s    = mode.fullApsp(spark, g)
-        ups.foreach { u =>
-          val (g2, step) = Engine.applyDataUpdate(spark, g, s, u, mode)
-          g = g2; s = step.slen
-        }
-        assert(TestKit.collectSlen(s) == scratch(g))
+      var g    = g0
+      var s    = ops.fullApsp(spark, g)
+      ups.foreach { u =>
+        val (g2, step) = Engine.applyDataUpdate(spark, g, s, u, ops)
+        g = g2; s = step.slen
       }
+      assert(TestKit.collectSlen(s) == scratch(g))
     }
 
   test("changedPairs: insert affects exactly the improved pairs") {
