@@ -22,8 +22,8 @@ object Der {
 
   /** Driver-side snapshot of the inputs DER reads repeatedly: label → node
     * ids and pattern node → IQuery matches. Built with two collects so a
-    * batch of updates does not re-scan per set (the sets themselves stay
-    * DataFrame-verified through [[violations]]).
+    * batch of updates does not re-scan per set (the bound checks still read
+    * SLen, through [[violations]]).
     */
   final case class Context(labelIds: Map[String, Set[Long]],
                            matches: Map[String, Set[Long]]) {
@@ -43,35 +43,34 @@ object Der {
   }
 
   /** Pairs `(v, v')` of `left × right` whose SLen entry fails `1..bound`
-    * (missing ⇒ ∞ ⇒ violation). Returns the violating pair count and the
-    * endpoints involved.
+    * (missing ⇒ ∞ ⇒ violation). One SLen filter collects the witnessed
+    * pairs; the rest of `left × right` is taken on the driver, where both
+    * sets already are. Returns the violating pair count and the endpoints
+    * involved.
     */
-  private def violations(spark: SparkSession, slen: DataFrame,
-                         left: Set[Long], right: Set[Long],
+  private def violations(slen: DataFrame, left: Set[Long], right: Set[Long],
                          bound: Int, cap: Int): (Long, Set[Long]) = {
-    import spark.implicits._
     if (left.isEmpty || right.isEmpty) return (0L, Set.empty)
-    val b     = math.min(bound, cap)
-    val pairs = left.toSeq.toDF("src").crossJoin(right.toSeq.toDF("dst"))
-    val viol = pairs
-      .join(slen, Seq("src", "dst"), "left_outer")
-      .filter(col("d").isNull || col("d") < 1 || col("d") > b)
-      .select("src", "dst")
-      .collect()
-    val nodes = viol.flatMap(r => Seq(r.getLong(0), r.getLong(1))).toSet
-    (viol.length.toLong, nodes)
+    val witnessed = slen
+      .filter(col("src").isin(left.toSeq: _*) && col("dst").isin(right.toSeq: _*) &&
+              col("d").between(1, math.min(bound, cap)))
+      .select("src", "dst").collect()
+      .map(r => (r.getLong(0), r.getLong(1))).toSet
+    val viol = for (v <- left; w <- right if !witnessed((v, w))) yield (v, w)
+    (viol.size.toLong, viol.flatMap { case (v, w) => Set(v, w) })
   }
 
   /** `Can_N(U_Pi)` per Algorithm 1, extended to the four pattern-update
     * kinds (DESIGN.md: the sets are an *index* for elimination ordering;
-    * correctness is carried by the final fixpoint).
+    * correctness is carried by the final fixpoint). Like
+    * [[cancelsUnderNewSlen]], it keeps `spark`, unread, for `perfbench/`.
     */
   def candidateNodes(spark: SparkSession, u: PatternUpdate, p: PatternGraph,
                      ctx: Context, slen: DataFrame, cap: Int): Set[Long] =
     u match {
       case PatEdgeIns(PEdge(s, t, bound)) =>
         // Can_RN: match pairs of (s, t) violating the new bound may be removed.
-        violations(spark, slen, ctx.matchSet(s), ctx.matchSet(t), bound, cap)._2
+        violations(slen, ctx.matchSet(s), ctx.matchSet(t), bound, cap)._2
       case PatEdgeDel(s, t) =>
         // Can_AN: label candidates currently excluded may become matches.
         (ctx.labelSet(p.node(s).label) -- ctx.matchSet(s)) ++
@@ -110,6 +109,6 @@ object Der {
   def cancelsUnderNewSlen(spark: SparkSession, uPi: PatEdgeIns, ctx: Context,
                           slenNew: DataFrame, cap: Int): Boolean = {
     val PEdge(s, t, bound) = uPi.edge
-    violations(spark, slenNew, ctx.matchSet(s), ctx.matchSet(t), bound, cap)._1 == 0
+    violations(slenNew, ctx.matchSet(s), ctx.matchSet(t), bound, cap)._1 == 0
   }
 }

@@ -14,11 +14,13 @@ import scala.util.Random
   */
 object PatternGen {
 
+  /** The largest bound this and `UpdateGen` draw; neither draws `*`. */
+  val MaxBound = 3
+
   /** Generate a pattern with `nNodes` nodes (ids `p0..`), ~`nEdges` edges
     * and labels drawn from `labels`. Deterministic in `seed`.
     */
-  def generate(nNodes: Int, nEdges: Int, labels: Seq[String], seed: Long,
-               maxBound: Int = 3): PatternGraph = {
+  def generate(nNodes: Int, nEdges: Int, labels: Seq[String], seed: Long): PatternGraph = {
     require(nNodes >= 2 && labels.nonEmpty)
     val rnd   = new Random(seed)
     val nodes = (0 until nNodes).map(i => PNode(s"p$i", labels(rnd.nextInt(labels.size))))
@@ -35,7 +37,7 @@ object PatternGen {
       val a = ids(rnd.nextInt(nNodes)); val b = ids(rnd.nextInt(nNodes))
       if (a != b) pairs += ((a, b))
     }
-    val edges = pairs.toSeq.map { case (s, d) => PEdge(s, d, 1 + rnd.nextInt(maxBound)) }
+    val edges = pairs.toSeq.map { case (s, d) => PEdge(s, d, 1 + rnd.nextInt(MaxBound)) }
     PatternGraph(nodes, edges)
   }
 }

@@ -20,22 +20,24 @@ import repro.core.DataGraph
   */
 object SocialGraph {
 
+  /** > 1 skews node counts toward low label indices. */
+  private val LabelSkew = 1.3
+
   /** Generate a graph with `n` nodes and ~`m` distinct directed edges
     * (self-loops and duplicate draws are dropped, so the realized count is
     * slightly below the drawn count; tests pin the tolerance).
     *
     * @param homophily probability that an edge stays within its source's
     *                  label class
-    * @param labelSkew >1 skews node counts toward low label indices
     */
   def generate(spark: SparkSession, n: Long, m: Long, nLabels: Int,
-               homophily: Double, seed: Long, labelSkew: Double = 1.3): DataGraph = {
+               homophily: Double, seed: Long): DataGraph = {
     require(n > 1 && m > 0 && nLabels > 0 && homophily >= 0 && homophily <= 1)
     val nodes = spark.range(n).select(
       col("id"),
       concat(lit("L"),
              least(lit(nLabels - 1),
-                   floor(pow(rand(seed), labelSkew) * nLabels)).cast("int")).as("label")
+                   floor(pow(rand(seed), LabelSkew) * nLabels)).cast("int")).as("label")
     ).localCheckpoint()
 
     // Per-label dense ranks so a "random same-label node" is one join away.

@@ -79,11 +79,12 @@ object UpdateGen {
     */
   def patternUpdates(p: PatternGraph, labels: Seq[String],
                      nEdgeIns: Int, nEdgeDel: Int, nNodeIns: Int, nNodeDel: Int,
-                     seed: Long, maxBound: Int = 3): Seq[PatternUpdate] = {
+                     seed: Long): Seq[PatternUpdate] = {
     val rnd = new Random(seed)
     val out = mutable.Buffer.empty[PatternUpdate]
     val ids = p.nodes.map(_.id)
     def randId(): String = ids(rnd.nextInt(ids.size))
+    def bound(): Int = 1 + rnd.nextInt(PatternGen.MaxBound)
 
     val existing = p.edges.map(e => (e.src, e.dst)).toSet
     val inserted = mutable.Set.empty[(String, String)]
@@ -94,7 +95,7 @@ object UpdateGen {
       if (a != b && !existing.contains((a, b)) && !inserted.contains((a, b)))
         inserted += ((a, b))
     }
-    out ++= inserted.toSeq.sorted.map { case (a, b) => PatEdgeIns(PEdge(a, b, 1 + rnd.nextInt(maxBound))) }
+    out ++= inserted.toSeq.sorted.map { case (a, b) => PatEdgeIns(PEdge(a, b, bound())) }
 
     out ++= rnd.shuffle(p.edges).take(math.min(nEdgeDel, math.max(0, p.edges.size - 1)))
       .map(e => PatEdgeDel(e.src, e.dst))
@@ -102,8 +103,7 @@ object UpdateGen {
     (0 until nNodeIns).foreach { i =>
       val n      = PNode(s"q$i", labels(rnd.nextInt(labels.size)))
       val anchor = randId()
-      val attach = if (rnd.nextBoolean()) PEdge(anchor, n.id, 1 + rnd.nextInt(maxBound))
-                   else PEdge(n.id, anchor, 1 + rnd.nextInt(maxBound))
+      val attach = if (rnd.nextBoolean()) PEdge(anchor, n.id, bound()) else PEdge(n.id, anchor, bound())
       out += PatNodeIns(n, attach)
     }
 

@@ -8,8 +8,8 @@ import repro.core.DataGraph
   *
   * Nodes sharing a label form a partition (the paper's homophily
   * observation [36]); cross-partition edges are recorded with the
-  * partition of their *starting* node. Inner/outer bridge nodes follow
-  * Definitions 1 and 2.
+  * partition of their *starting* node, and Algorithm 4 combines the
+  * partitions those edges connect.
   *
   * No SLen computation uses the partition: on every bench graph all labels
   * combine into one component (DESIGN.md §3.3), so scoping pruned nothing
@@ -26,14 +26,6 @@ object LabelPartition {
       .join(g.nodes.select(col("id").as("dst"), col("label").as("dstLabel")), Seq("dst"))
       .select("src", "dst", "srcLabel", "dstLabel")
 
-  /** Intra-partition edges: `(pid, src, dst)` where both endpoints share
-    * the partition label `pid`.
-    */
-  def intraEdges(g: DataGraph): DataFrame =
-    annotatedEdges(g)
-      .filter(col("srcLabel") === col("dstLabel"))
-      .select(col("srcLabel").as("pid"), col("src"), col("dst"))
-
   /** Cross-partition edges, recorded in the starting node's partition:
     * `(pid, src, dst, dstPid)`.
     */
@@ -41,18 +33,6 @@ object LabelPartition {
     annotatedEdges(g)
       .filter(col("srcLabel") =!= col("dstLabel"))
       .select(col("srcLabel").as("pid"), col("src"), col("dst"), col("dstLabel").as("dstPid"))
-
-  /** Inner bridge nodes per partition (Definition 1): `(pid, id)` —
-    * nodes of `P_i` with an edge leaving `P_i`.
-    */
-  def innerBridges(g: DataGraph): DataFrame =
-    crossEdges(g).select(col("pid"), col("src").as("id")).distinct()
-
-  /** Outer bridge nodes per partition (Definition 2): `(pid, id)` —
-    * nodes outside `P_i` reached by an edge starting in `P_i`.
-    */
-  def outerBridges(g: DataGraph): DataFrame =
-    crossEdges(g).select(col("pid"), col("dst").as("id")).distinct()
 
   /** The fixpoint of Algorithm 4's recursive partition combination: labels
     * connected by any cross edge end up in one *combined partition*

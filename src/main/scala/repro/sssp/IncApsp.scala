@@ -97,6 +97,9 @@ object IncApsp {
     splice(slen, affected + v, affected, recompute)
   }
 
+  // Only `perfbench/`'s `Replay` calls the four wrappers below, which keep
+  // a step's SLen alone; they go with that benchmark's change (ROADMAP 1).
+
   /** SLen after inserting edge (a, b); see [[insertEdgeStep]]. */
   def insertEdge(slen: DataFrame, a: Long, b: Long, cap: Int): DataFrame =
     insertEdgeStep(slen, a, b, cap).slen

@@ -78,16 +78,16 @@ class DerSpec extends SparkSpec {
 
   test("DER-II: affected nodes of an edge insert (Example 8 analogue)") {
     val (_, _, slen) = world
-    val s2  = IncApsp.insertEdge(slen, 2L, 3L, cap)
+    val s2  = IncApsp.insertEdgeStep(slen, 2L, 3L, cap).slen
     val aff = Der.affectedNodes(IncApsp.changedPairs(slen, s2))
     assert(aff == Set(2L, 3L)) // only the new pair 2->3
   }
 
   test("DER-II: a far-reaching insert affects more nodes (coverage)") {
     val (_, _, slen) = world
-    val sBig   = IncApsp.insertEdge(slen, 2L, 1L, cap) // PM2 -> PM1 opens 2->{1,3,4}
+    val sBig   = IncApsp.insertEdgeStep(slen, 2L, 1L, cap).slen // PM2 -> PM1 opens 2->{1,3,4}
     val affBig = Der.affectedNodes(IncApsp.changedPairs(slen, sBig))
-    val sSmall   = IncApsp.insertEdge(slen, 2L, 3L, cap)
+    val sSmall   = IncApsp.insertEdgeStep(slen, 2L, 3L, cap).slen
     val affSmall = Der.affectedNodes(IncApsp.changedPairs(slen, sSmall))
     assert(affBig == Set(1L, 2L, 3L, 4L))
     assert(affSmall.subsetOf(affBig)) // U_Da ⊵ U_Db
@@ -117,7 +117,8 @@ class DerSpec extends SparkSpec {
     val (_, _, slen) = world
     val uPi = PatEdgeIns(PEdge("pm", "te", 1))
     val can = canN(uPi)
-    val s2  = IncApsp.insertEdge(IncApsp.insertEdge(slen, 2L, 3L, cap), 2L, 4L, cap)
+    val s1  = IncApsp.insertEdgeStep(slen, 2L, 3L, cap).slen
+    val s2  = IncApsp.insertEdgeStep(s1, 2L, 4L, cap).slen
     val aff = Der.affectedNodes(IncApsp.changedPairs(slen, s2))
     assert(can.subsetOf(aff))
     assert(cancels(uPi, can, aff, s2))
@@ -126,7 +127,7 @@ class DerSpec extends SparkSpec {
   test("DER-III rejects when the new SLen still violates the bound") {
     val (_, _, slen) = world
     val uPi = PatEdgeIns(PEdge("pm", "te", 1))
-    val s2  = IncApsp.insertEdge(slen, 2L, 3L, cap) // 2->4 still unreachable
+    val s2  = IncApsp.insertEdgeStep(slen, 2L, 3L, cap).slen // 2->4 still unreachable
     val aff = Der.affectedNodes(IncApsp.changedPairs(slen, s2))
     assert(!cancels(uPi, canN(uPi), aff, s2))
   }
@@ -135,6 +136,40 @@ class DerSpec extends SparkSpec {
     val (_, _, slen) = world
     val uPi = PatEdgeIns(PEdge("pm", "te", 1))
     assert(!cancels(uPi, canN(uPi), affDi = Set(3L), slen))
+  }
+
+  test("DER-I/III match brute force on random graphs and match sets") {
+    // For a pattern edge insert (a, b, k): Can_N is the endpoints of the
+    // match pairs that fail 1..k, and DER-III cancels iff no pair fails.
+    val p = PatternGraph(Seq(PNode("a", "A"), PNode("b", "B")), Nil)
+    var outcomes = Set.empty[Boolean]
+    for (seed <- 1 to 5) {
+      val lg   = TestKit.randomGraph(seed, n = 24, m = 60)
+      val slen = SlenOps(cap).fullApsp(spark, lg.toDataGraph(spark))
+      val ref  = LocalRef.apsp(lg.nodeIds, lg.edges, cap)
+      val rnd  = new scala.util.Random(seed)
+      def sample(k: Int): Set[Long] = rnd.shuffle(lg.nodeIds).take(k).toSet
+      for (bound <- Seq(1, 2, 3, PatternGraph.Star)) {
+        def witnessed(x: Long, y: Long) =
+          ref.get((x, y)).exists(d => d >= 1 && d <= math.min(bound, cap))
+        val x = lg.nodeIds(rnd.nextInt(lg.nodeIds.size))
+        // A random pair of match sets, and one whose pairs all hold.
+        val cases = Seq((sample(rnd.nextInt(7)), sample(rnd.nextInt(7))),
+                        (Set(x), lg.nodeIds.filter(witnessed(x, _)).take(3).toSet))
+        for ((left, right) <- cases) {
+          val ctx     = Der.Context(Map.empty, Map("a" -> left, "b" -> right))
+          val u       = PatEdgeIns(PEdge("a", "b", bound))
+          val failing = for (v <- left; w <- right if !witnessed(v, w)) yield (v, w)
+          val hint    = s"seed=$seed bound=$bound left=$left right=$right"
+          assert(Der.candidateNodes(spark, u, p, ctx, slen, cap) ==
+                   failing.flatMap { case (v, w) => Set(v, w) }, hint)
+          val cancels = Der.cancelsUnderNewSlen(spark, u, ctx, slen, cap)
+          assert(cancels == failing.isEmpty, hint)
+          outcomes += cancels
+        }
+      }
+    }
+    assert(outcomes == Set(true, false)) // both verdicts were exercised
   }
 
   test("Theorem 1: Can_N detection is order-invariant") {

@@ -39,7 +39,8 @@ class GenSpec extends SparkSpec {
   }
 
   test("homophily: most edges stay within a label class") {
-    val intra = repro.partition.LabelPartition.intraEdges(g).count().toDouble
+    val intra = repro.partition.LabelPartition.annotatedEdges(g)
+      .filter(col("srcLabel") === col("dstLabel")).count().toDouble
     val ratio = intra / g.numEdges
     assert(ratio > 0.6, f"intra ratio $ratio%.2f")
   }

@@ -3,9 +3,8 @@ package repro.partition
 import repro.{Oracle, SparkSpec, TestKit}
 import repro.core.DataGraph
 
-/** Label-based partition machinery: intra/cross edges, bridge nodes
-  * (Definitions 1–2, Examples 12–13), combined components (Algorithm 4's
-  * recursion fixpoint).
+/** Label-based partition machinery: cross edges and combined components
+  * (Algorithm 4's recursion fixpoint).
   */
 class LabelPartitionSpec extends SparkSpec {
 
@@ -23,58 +22,18 @@ class LabelPartitionSpec extends SparkSpec {
         (20L, 21L), (21L, 22L))               // P_TE intra
   )
 
-  test("intraEdges keep only same-label pairs, tagged with the partition") {
-    val got = LabelPartition.intraEdges(fig4).collect()
-      .map(r => (r.getString(0), r.getLong(1), r.getLong(2))).toSet
-    assert(got == Set(("SE", 1L, 2L), ("SE", 2L, 3L), ("SE", 3L, 4L),
-                      ("TE", 20L, 21L), ("TE", 21L, 22L)))
-  }
-
   test("crossEdges are recorded in the starting node's partition") {
     val got = LabelPartition.crossEdges(fig4).collect()
       .map(r => (r.getString(0), r.getLong(1), r.getLong(2), r.getString(3))).toSet
     assert(got == Set(("SE", 2L, 20L, "TE"), ("SE", 1L, 10L, "PM"), ("PM", 10L, 1L, "SE")))
   }
 
-  test("Example 12: SE2 is an inner bridge node of P_SE") {
-    val ib = LabelPartition.innerBridges(fig4).collect()
-      .map(r => (r.getString(0), r.getLong(1))).toSet
-    assert(ib.contains(("SE", 2L)))
-    assert(ib == Set(("SE", 1L), ("SE", 2L), ("PM", 10L)))
-  }
-
-  test("Example 13: PM1 is an outer bridge node of P_SE") {
-    val ob = LabelPartition.outerBridges(fig4).collect()
-      .map(r => (r.getString(0), r.getLong(1))).toSet
-    assert(ob.contains(("SE", 10L)))
-    assert(ob == Set(("SE", 10L), ("SE", 20L), ("PM", 1L)))
-  }
-
-  test("P_TE has no inner bridges (no edges leave it)") {
-    val ib = LabelPartition.innerBridges(fig4).collect().map(_.getString(0)).toSet
-    assert(!ib.contains("TE"))
-  }
-
-  test("innerBridges match the DuckDB SQL oracle") {
-    val lg = TestKit.randomGraph(21, n = 30, m = 90)
-    val g  = lg.toDataGraph(spark)
-    Oracle.assertEquivalent(
-      LabelPartition.innerBridges(g),
-      """SELECT DISTINCT ns.label AS pid, e.src AS id
-        |FROM edges e
-        |JOIN nodes ns ON e.src = ns.id
-        |JOIN nodes nd ON e.dst = nd.id
-        |WHERE ns.label <> nd.label""".stripMargin,
-      "nodes" -> g.nodes, "edges" -> g.edges
-    )
-  }
-
-  test("outerBridges match the DuckDB SQL oracle") {
+  test("crossEdges match the DuckDB SQL oracle") {
     val lg = TestKit.randomGraph(22, n = 30, m = 90)
     val g  = lg.toDataGraph(spark)
     Oracle.assertEquivalent(
-      LabelPartition.outerBridges(g),
-      """SELECT DISTINCT ns.label AS pid, e.dst AS id
+      LabelPartition.crossEdges(g),
+      """SELECT ns.label AS pid, e.src AS src, e.dst AS dst, nd.label AS dstPid
         |FROM edges e
         |JOIN nodes ns ON e.src = ns.id
         |JOIN nodes nd ON e.dst = nd.id

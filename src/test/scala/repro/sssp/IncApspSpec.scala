@@ -99,7 +99,7 @@ class IncApspSpec extends SparkSpec {
                                   Seq((0L, 1L), (1L, 2L), (2L, 3L)))
     val g    = lg.toDataGraph(spark)
     val slen = ops.fullApsp(spark, g)
-    val got  = TestKit.collectSlen(IncApsp.insertEdge(slen, 0L, 3L, cap))
+    val got  = TestKit.collectSlen(IncApsp.insertEdgeStep(slen, 0L, 3L, cap).slen)
     assert(got((0L, 3L)) == 1)
     assert(got((0L, 1L)) == 1 && got((1L, 3L)) == 2) // untouched pairs keep values
   }
@@ -109,7 +109,7 @@ class IncApspSpec extends SparkSpec {
                                   Seq((0L, 1L), (1L, 2L), (0L, 2L)))
     val g    = lg.toDataGraph(spark)
     val slen = ops.fullApsp(spark, g)
-    val got  = TestKit.collectSlen(IncApsp.insertEdge(slen, 1L, 2L, cap))
+    val got  = TestKit.collectSlen(IncApsp.insertEdgeStep(slen, 1L, 2L, cap).slen)
     assert(got == scratch(g))
   }
 
@@ -120,7 +120,7 @@ class IncApspSpec extends SparkSpec {
     val edges = (0 until n - 2).map(i => (i.toLong, (i + 1).toLong))
     val g     = TestKit.LocalGraph(nodes, edges).toDataGraph(spark)
     val slen  = ops.fullApsp(spark, g)
-    val got   = TestKit.collectSlen(IncApsp.insertEdge(slen, (n - 2).toLong, (n - 1).toLong, cap))
+    val got   = TestKit.collectSlen(IncApsp.insertEdgeStep(slen, (n - 2).toLong, (n - 1).toLong, cap).slen)
     val g2    = g.insertEdge(spark, (n - 2).toLong, (n - 1).toLong)
     assert(got == scratch(g2))
     assert(got.values.forall(_ <= cap))
@@ -132,7 +132,7 @@ class IncApspSpec extends SparkSpec {
     val g    = lg.toDataGraph(spark)
     val slen = ops.fullApsp(spark, g)
     val g2   = g.deleteEdge(1L, 2L)
-    val got  = TestKit.collectSlen(IncApsp.deleteEdge(slen, 1L, 2L, recompute(g2)))
+    val got  = TestKit.collectSlen(IncApsp.deleteEdgeStep(slen, 1L, 2L, recompute(g2)).slen)
     assert(got == scratch(g2))
     assert(!got.contains((0L, 2L)))
   }
@@ -143,7 +143,7 @@ class IncApspSpec extends SparkSpec {
     val g    = lg.toDataGraph(spark)
     val slen = ops.fullApsp(spark, g)
     val g2   = g.deleteEdge(0L, 2L)
-    val got  = TestKit.collectSlen(IncApsp.deleteEdge(slen, 0L, 2L, recompute(g2)))
+    val got  = TestKit.collectSlen(IncApsp.deleteEdgeStep(slen, 0L, 2L, recompute(g2)).slen)
     assert(got == scratch(g2))
     assert(got((0L, 2L)) == 2)
   }
@@ -154,7 +154,7 @@ class IncApspSpec extends SparkSpec {
     val g    = lg.toDataGraph(spark)
     val slen = ops.fullApsp(spark, g)
     val g2   = g.deleteEdge(1L, 2L) // 0->2 direct stays; 1->2 gone
-    val got  = TestKit.collectSlen(IncApsp.deleteEdge(slen, 1L, 2L, recompute(g2)))
+    val got  = TestKit.collectSlen(IncApsp.deleteEdgeStep(slen, 1L, 2L, recompute(g2)).slen)
     assert(got == scratch(g2))
   }
 
@@ -163,9 +163,9 @@ class IncApspSpec extends SparkSpec {
     val g    = lg.toDataGraph(spark)
     val slen = ops.fullApsp(spark, g)
     val g2   = g.insertNode(spark, 9L, "B", outTo = Seq(0L), inFrom = Seq(1L))
-    var s2   = IncApsp.insertNode(spark, slen, 9L)
-    s2 = IncApsp.insertEdge(s2, 9L, 0L, cap)
-    s2 = IncApsp.insertEdge(s2, 1L, 9L, cap)
+    var s2   = IncApsp.insertNodeStep(slen, 9L, Nil, Nil, cap).slen
+    s2 = IncApsp.insertEdgeStep(s2, 9L, 0L, cap).slen
+    s2 = IncApsp.insertEdgeStep(s2, 1L, 9L, cap).slen
     assert(TestKit.collectSlen(s2) == scratch(g2))
   }
 
@@ -175,7 +175,7 @@ class IncApspSpec extends SparkSpec {
     val g    = lg.toDataGraph(spark)
     val slen = ops.fullApsp(spark, g)
     val g2   = g.removeNode(1L)
-    val got  = TestKit.collectSlen(IncApsp.deleteNode(slen, 1L, recompute(g2)))
+    val got  = TestKit.collectSlen(IncApsp.deleteNodeStep(slen, 1L, recompute(g2)).slen)
     assert(got == scratch(g2))
     assert(got.keySet.forall { case (s, t) => s != 1L && t != 1L })
     assert(got((0L, 3L)) == 1)
@@ -201,7 +201,7 @@ class IncApspSpec extends SparkSpec {
                                   Seq((0L, 1L), (1L, 2L)))
     val g    = lg.toDataGraph(spark)
     val slen = ops.fullApsp(spark, g)
-    val s2   = IncApsp.insertEdge(slen, 2L, 0L, cap)
+    val s2   = IncApsp.insertEdgeStep(slen, 2L, 0L, cap).slen
     val changed = IncApsp.changedPairs(slen, s2).collect()
       .map(r => (r.getLong(0), r.getLong(1))).toSet
     // new pairs: 1->0, 2->0, 2->1 (cycle closes)
@@ -214,7 +214,7 @@ class IncApspSpec extends SparkSpec {
     val slen = ops.fullApsp(spark, g)
     val (a, b) = lg.edges.head
     val g2   = g.deleteEdge(a, b)
-    val s2   = IncApsp.deleteEdge(slen, a, b, recompute(g2))
+    val s2   = IncApsp.deleteEdgeStep(slen, a, b, recompute(g2)).slen
     val diff: DataFrame = IncApsp.changedPairs(slen, s2)
     Oracle.assertEquivalent(
       diff,
@@ -238,7 +238,7 @@ class IncApspSpec extends SparkSpec {
                                   Seq((0L, 1L), (1L, 2L), (0L, 2L)))
     val g    = lg.toDataGraph(spark)
     val slen = ops.fullApsp(spark, g)
-    val s2   = IncApsp.insertEdge(slen, 1L, 2L, cap) // already at distance 1
+    val s2   = IncApsp.insertEdgeStep(slen, 1L, 2L, cap).slen // already at distance 1
     assert(IncApsp.changedPairs(slen, s2).isEmpty)
   }
 }
