@@ -14,8 +14,10 @@ import scala.collection.mutable
   * per pattern node, its surviving candidates — or ∅ for every node if any
   * pattern node ends up unmatched (then `G_P ⋢ G_D`).
   *
-  * Like [[repro.sssp.ApspBfs]], the fixpoint is an in-task kernel: one
-  * `flatMapGroups` task runs the removal loop and the completeness rule.
+  * A pass is one Spark job with no shuffle: label candidates come from a
+  * map-side lookup, and one coalesced task gets the candidates and the
+  * SLen rows, runs the removal loop in memory and applies the completeness
+  * rule.
   *
   * Conventions (DESIGN.md §3.7): `d(v,v)=0` never witnesses an edge;
   * `*` bounds are clamped to the SLen cap (any stored-finite length).
@@ -23,12 +25,16 @@ import scala.collection.mutable
 object Bgs {
 
   /** Label candidates `(pu, v)`: data nodes whose label equals the pattern
-    * node's required label.
+    * node's required label. Each node looks its label up in the pattern's
+    * label → nodes map; two pattern nodes may share a label.
     */
-  def labelCandidates(spark: SparkSession, g: DataGraph, p: PatternGraph): DataFrame =
-    g.nodes
-      .join(p.nodesDf(spark), col("label") === col("plabel"))
-      .select(col("pu"), col("id").as("v"))
+  def labelCandidates(spark: SparkSession, g: DataGraph, p: PatternGraph): DataFrame = {
+    import spark.implicits._
+    val byLabel = p.nodes.groupMap(_.label)(_.id)
+    g.nodes.as[(Long, String)]
+      .flatMap { case (v, label) => byLabel.getOrElse(label, Nil).map(pu => (pu, v)) }
+      .toDF("pu", "v")
+  }
 
   /** Run the removal fixpoint from `cand0` and apply the all-nodes-matched
     * rule. Returns the GPNM result `(pu, v)`, checkpointed.
@@ -46,10 +52,13 @@ object Bgs {
       .filter(col("d") >= 1 && col("d") <= p.maxBound(cap))
       .select(lit(1).as("kind"), lit("").as("pu"), col("src").as("v"), col("dst").as("w"), col("d"))
 
+    // `coalesce`, not `repartition`: one task reads every input partition
+    // without an exchange. With no rows every `cand(pu)` is empty, so the
+    // result is ∅.
     candRows.union(slenRows)
       .as[(Int, String, Long, Long, Int)]
-      .groupByKey(_ => 0)
-      .flatMapGroups { (_: Int, rows: Iterator[(Int, String, Long, Long, Int)]) =>
+      .coalesce(1)
+      .mapPartitions { rows =>
         val cand = mutable.HashMap.from(nodeIds.map(_ -> mutable.HashSet.empty[Long]))
         val out  = mutable.HashMap.empty[Long, mutable.ArrayBuffer[(Long, Int)]]
         rows.foreach {

@@ -78,7 +78,7 @@ final case class PEdge(src: String, dst: String, bound: Int)
 /** A pattern graph `G_P = (V_P, E_P, f_v, f_e)` (§III-A).
   *
   * Patterns have 6–10 nodes in the paper, so they are plain driver-side
-  * values; DataFrame views are derived where a join needs them.
+  * values.
   */
 final case class PatternGraph(nodes: Seq[PNode], edges: Seq[PEdge]) {
   require(nodes.map(_.id).distinct.size == nodes.size, "duplicate pattern node ids")
@@ -99,12 +99,6 @@ final case class PatternGraph(nodes: Seq[PNode], edges: Seq[PEdge]) {
   def maxBound(cap: Int): Int = {
     val bs = edges.map(e => math.min(e.bound, cap))
     if (bs.isEmpty) 0 else bs.max
-  }
-
-  /** DataFrame view of the nodes: (pu, plabel). */
-  def nodesDf(spark: SparkSession): DataFrame = {
-    import spark.implicits._
-    nodes.map(n => (n.id, n.label)).toDF("pu", "plabel")
   }
 }
 

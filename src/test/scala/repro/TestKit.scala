@@ -1,5 +1,7 @@
 package repro
 
+import org.apache.spark.ListenerBusDrain
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.core._
 
@@ -55,6 +57,22 @@ object TestKit {
     val m = df.collect().map(r => (r.getString(0), r.getLong(1)))
       .groupBy(_._1).view.mapValues(_.map(_._2).toSet).toMap
     p.nodes.map(n => n.id -> m.getOrElse(n.id, Set.empty[Long])).toMap
+  }
+
+  /** Number of Spark jobs that `body` launches. Queued events of earlier
+    * jobs are delivered before the listener is added, and `body`'s own
+    * before it is read.
+    */
+  def countJobs(spark: SparkSession)(body: => Any): Int = {
+    val sc = spark.sparkContext
+    ListenerBusDrain(sc)
+    val jobs     = new java.util.concurrent.atomic.AtomicInteger
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit = jobs.incrementAndGet()
+    }
+    sc.addSparkListener(listener)
+    try { body; ListenerBusDrain(sc) } finally sc.removeSparkListener(listener)
+    jobs.get
   }
 
   /** Apply data updates to a LocalGraph (reference semantics). */

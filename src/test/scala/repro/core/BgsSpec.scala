@@ -1,11 +1,14 @@
 package repro.core
 
 import repro.{Oracle, SparkSpec, TestKit}
+import repro.sssp.IncApsp
 
 /** The Spark BGS fixpoint vs the brute-force reference and the DuckDB
-  * oracle for the label-candidate step.
+  * oracle for the label-candidate step, on the inputs a pass can get:
+  * multi-partition SLen, lazy updated graphs, shared and absent labels.
   */
 class BgsSpec extends SparkSpec {
+  import spark.implicits._
 
   private val cap = 8
 
@@ -22,8 +25,86 @@ class BgsSpec extends SparkSpec {
     Oracle.assertEquivalent(
       Bgs.labelCandidates(spark, g, p),
       "SELECT p.pu AS pu, n.id AS v FROM pnodes p JOIN nodes n ON p.plabel = n.label",
-      "nodes" -> g.nodes, "pnodes" -> p.nodesDf(spark)
+      "nodes" -> g.nodes, "pnodes" -> p.nodes.map(n => (n.id, n.label)).toDF("pu", "plabel")
     )
+  }
+
+  test("a BGS pass on a checkpointed SLen is one Spark job") {
+    // A pass with a shuffle (a candidate join, a grouped task) takes more.
+    val lg    = TestKit.randomGraph(41, n = 30, m = 90)
+    val g     = lg.toDataGraph(spark)
+    val p     = TestKit.randomPattern(lg, seed = 42, nNodes = 4, nEdges = 5)
+    val slen  = SlenOps(cap).fullApsp(spark, g)
+    val cand0 = Bgs.labelCandidates(spark, g, p)
+    assert(TestKit.countJobs(spark)(Bgs.matchFixpoint(spark, cand0, p, slen, cap)) == 1)
+    assert(TestKit.countJobs(spark)(Bgs.run(spark, g, p, slen, cap)) == 1)
+  }
+
+  test("one-job pass matches LocalRef on the spliced SLen of an edge delete") {
+    val ops = SlenOps(cap)
+    for (seed <- 1 to 3) {
+      val lg     = TestKit.randomGraph(50L + seed, n = 30, m = 90)
+      val g      = lg.toDataGraph(spark)
+      val p      = TestKit.randomPattern(lg, seed = 60L + seed, nNodes = 4, nEdges = 5)
+      val slen   = ops.fullApsp(spark, g)
+      val (a, b) = lg.edges(seed * 7)
+      val g2     = g.deleteEdge(a, b)
+      val s2     = IncApsp.deleteEdgeStep(slen, a, b, ops.recompute(spark, g2)).slen
+      assert(s2.rdd.getNumPartitions > 1)
+      val lg2 = lg.copy(edges = lg.edges.filterNot(_ == ((a, b))))
+      assert(TestKit.collectMatches(Bgs.run(spark, g2, p, s2, cap), p) ==
+             LocalRef.gpnm(lg2.nodes, lg2.edges, p, cap))
+    }
+  }
+
+  test("one-job pass matches LocalRef on a lazy graph after insertNode and removeNode") {
+    val ops  = SlenOps(cap)
+    val lg   = TestKit.randomGraph(71, n = 30, m = 90)
+    val p    = TestKit.randomPattern(lg, seed = 72, nNodes = 4, nEdges = 5)
+    val ups  = Seq(DataNodeIns(100L, lg.labels.head, Seq(1L, 2L), Seq(3L, 4L)), DataNodeDel(5L))
+    val g0   = lg.toDataGraph(spark)
+    val (g2, s2) = ups.foldLeft((g0, ops.fullApsp(spark, g0))) {
+      case ((g, s), u) => val (g1, step) = Engine.applyDataUpdate(spark, g, s, u, ops); (g1, step.slen)
+    }
+    val lg2 = TestKit.applyDataLocal(lg, ups)
+    assert(TestKit.collectMatches(Bgs.labelCandidates(spark, g2, p), p) ==
+           p.nodes.map(n => n.id -> lg2.nodes.collect { case (v, l) if l == n.label => v }.toSet).toMap)
+    assert(TestKit.collectMatches(Bgs.run(spark, g2, p, s2, cap), p) ==
+           LocalRef.gpnm(lg2.nodes, lg2.edges, p, cap))
+  }
+
+  test("pattern nodes sharing a label each get every node of it") {
+    val lg = TestKit.randomGraph(81, n = 30, m = 120, nLabels = 2)
+    val g  = lg.toDataGraph(spark)
+    val p  = PatternGraph(
+      Seq(PNode("a1", "L0"), PNode("a2", "L0"), PNode("b", "L1")),
+      Seq(PEdge("a1", "a2", 2), PEdge("a2", "b", 3), PEdge("b", "a1", 3)))
+    val l0 = lg.nodes.collect { case (v, "L0") => v }.toSet
+    val cands = TestKit.collectMatches(Bgs.labelCandidates(spark, g, p), p)
+    assert(cands("a1") == l0 && cands("a2") == l0 && l0.nonEmpty)
+    val expect = LocalRef.gpnm(lg.nodes, lg.edges, p, cap)
+    assert(expect.values.forall(_.nonEmpty))
+    assert(run(lg, p) == expect)
+  }
+
+  test("a pattern label no data node has empties the result of a pass with edges") {
+    val lg = TestKit.randomGraph(85, n = 30, m = 90)
+    val p  = PatternGraph(
+      Seq(PNode("a", "L0"), PNode("b", "L1"), PNode("z", "absent")),
+      Seq(PEdge("a", "b", 3), PEdge("b", "a", 3), PEdge("a", "z", 2)))
+    val g = lg.toDataGraph(spark)
+    assert(Bgs.labelCandidates(spark, g, p).filter($"pu" === "z").isEmpty)
+    val got = run(lg, p)
+    assert(got == Map("a" -> Set.empty, "b" -> Set.empty, "z" -> Set.empty))
+    assert(got == LocalRef.gpnm(lg.nodes, lg.edges, p, cap))
+  }
+
+  test("a pattern with no edges matches LocalRef on a random graph") {
+    val lg = TestKit.randomGraph(87, n = 30, m = 90)
+    val p  = PatternGraph(Seq(PNode("a", "L0"), PNode("b", "L1"), PNode("c", "L0")), Nil)
+    val expect = LocalRef.gpnm(lg.nodes, lg.edges, p, cap)
+    assert(expect("a").nonEmpty && expect("a") == expect("c"))
+    assert(run(lg, p) == expect)
   }
 
   test("Example-1-style IT-project pattern") {
