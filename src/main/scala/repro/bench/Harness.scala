@@ -147,12 +147,7 @@ object Harness {
 
   /** Apply `ΔG_D` to a graph without SLen maintenance (verification path). */
   def applyAllData(spark: SparkSession, g: DataGraph, dUps: Seq[DataUpdate]): DataGraph =
-    dUps.foldLeft(g) {
-      case (cur, DataEdgeIns(a, b))              => cur.insertEdge(spark, a, b)
-      case (cur, DataEdgeDel(a, b))              => cur.deleteEdge(a, b)
-      case (cur, DataNodeIns(id, l, out, in))    => cur.insertNode(spark, id, l, out, in)
-      case (cur, DataNodeDel(id))                => cur.removeNode(id)
-    }
+    dUps.foldLeft(g)(_.update(spark, _))
 
   /** Canonical driver-side form of a GPNM result for comparisons. */
   def collectResult(df: DataFrame): Map[String, Set[Long]] =

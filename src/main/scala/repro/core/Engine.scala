@@ -31,17 +31,14 @@ object Engine {
     * maintained SLen and the pairs whose distance `u` changed.
     */
   def applyDataUpdate(spark: SparkSession, g: DataGraph, slen: DataFrame,
-                      u: DataUpdate, ops: SlenOps): (DataGraph, IncApsp.Step) = u match {
-    case DataEdgeIns(a, b) =>
-      (g.insertEdge(spark, a, b), IncApsp.insertEdgeStep(slen, a, b, ops.cap))
-    case DataEdgeDel(a, b) =>
-      val g2 = g.deleteEdge(a, b)
-      (g2, IncApsp.deleteEdgeStep(slen, a, b, ops.recompute(spark, g2)))
-    case DataNodeIns(id, label, outTo, inFrom) =>
-      (g.insertNode(spark, id, label, outTo, inFrom),
-       IncApsp.insertNodeStep(slen, id, outTo, inFrom, ops.cap))
-    case DataNodeDel(id) =>
-      val g2 = g.removeNode(id)
-      (g2, IncApsp.deleteNodeStep(slen, id, ops.recompute(spark, g2)))
+                      u: DataUpdate, ops: SlenOps): (DataGraph, IncApsp.Step) = {
+    val g2 = g.update(spark, u)
+    val step = u match {
+      case DataEdgeIns(a, b)                 => IncApsp.insertEdgeStep(slen, a, b, ops.cap)
+      case DataEdgeDel(a, b)                 => IncApsp.deleteEdgeStep(slen, a, b, ops.recompute(spark, g2))
+      case DataNodeIns(id, _, outTo, inFrom) => IncApsp.insertNodeStep(slen, id, outTo, inFrom, ops.cap)
+      case DataNodeDel(id)                   => IncApsp.deleteNodeStep(slen, id, ops.recompute(spark, g2))
+    }
+    (g2, step)
   }
 }

@@ -45,6 +45,14 @@ final case class DataGraph(nodes: DataFrame, edges: DataFrame) {
     DataGraph(nodes.filter(col("id") =!= id),
               edges.filter(col("src") =!= id && col("dst") =!= id))
 
+  /** Apply one data update, as the method of its kind does. */
+  def update(spark: SparkSession, u: DataUpdate): DataGraph = u match {
+    case DataEdgeIns(a, b)                     => insertEdge(spark, a, b)
+    case DataEdgeDel(a, b)                     => deleteEdge(a, b)
+    case DataNodeIns(id, label, outTo, inFrom) => insertNode(spark, id, label, outTo, inFrom)
+    case DataNodeDel(id)                       => removeNode(id)
+  }
+
   /** Number of nodes (an action). */
   def numNodes: Long = nodes.count()
 

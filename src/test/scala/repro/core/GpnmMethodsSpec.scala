@@ -5,9 +5,10 @@ import repro.gen.UpdateGen
 
 /** The paper's implicit correctness requirement: INC-GPNM, EH-GPNM,
   * UA-GPNM-NoPar and UA-GPNM all deliver the same SQuery as a from-scratch
-  * GPNM on the updated graphs; plus work-counter sanity (INC pays one pass
-  * per update, UA pays one per uneliminated root). UA-GPNM and
-  * UA-GPNM-NoPar run the same code, so each scenario calls it once.
+  * GPNM on the updated graphs, under every kind of data and pattern update;
+  * plus exact work counters (INC pays one pass per update, EH and UA one
+  * per EH-Tree root). UA-GPNM and UA-GPNM-NoPar run the same code, so each
+  * scenario calls it once.
   */
 class GpnmMethodsSpec extends SparkSpec {
 
@@ -25,7 +26,7 @@ class GpnmMethodsSpec extends SparkSpec {
     def pNew: PatternGraph = Updates.applyPatternAll(p, pUps)
   }
 
-  private def scenario(seed: Int, nD: Int = 4, nP: Int = 3): Scenario = {
+  private def scenario(seed: Int, nD: Int = 4, nP: Int = 3, nPatNodeDel: Int = 0): Scenario = {
     val lg = TestKit.randomGraph(seed, n = 32, m = 100)
     val g  = lg.toDataGraph(spark)
     val p  = TestKit.randomPattern(lg, seed + 1, nNodes = 4, nEdges = 5)
@@ -35,7 +36,7 @@ class GpnmMethodsSpec extends SparkSpec {
                                      nNodeIns = 1, nNodeDel = 1, seed = seed * 11)
     val pUps = UpdateGen.patternUpdates(p, snap.labels, nEdgeIns = 1, nEdgeDel = 1,
                                         nNodeIns = if (nP > 2) 1 else 0,
-                                        nNodeDel = 0, seed = seed * 13)
+                                        nNodeDel = nPatNodeDel, seed = seed * 13)
     Scenario(lg, g, p, slen, iquery, dUps, pUps)
   }
 
@@ -46,16 +47,69 @@ class GpnmMethodsSpec extends SparkSpec {
     assert(TestKit.collectMatches(iq, p) == LocalRef.gpnm(lg.nodes, lg.edges, p, cap))
   }
 
+  private def assertAllEqualLocalRef(sc: Scenario): Unit = {
+    val inc = GpnmMethods.incGpnm(spark, sc.g, sc.p, sc.iquery, sc.slen, sc.dUps, sc.pUps, cap)
+    val eh  = GpnmMethods.ehGpnm(spark, sc.g, sc.p, sc.iquery, sc.slen, sc.dUps, sc.pUps, cap)
+    val ua  = GpnmMethods.uaGpnm(spark, sc.g, sc.p, sc.iquery, sc.slen, sc.dUps, sc.pUps, cap)
+    assert(TestKit.collectMatches(inc.squery, sc.pNew) == sc.expected, "INC-GPNM")
+    assert(TestKit.collectMatches(eh.squery, sc.pNew) == sc.expected, "EH-GPNM")
+    assert(TestKit.collectMatches(ua.squery, sc.pNew) == sc.expected, "UA-GPNM")
+  }
+
   for (seed <- 1 to 5)
     test(s"all four methods equal scratch on random scenario (seed=$seed)") {
-      val sc = scenario(seed * 17)
-      val inc = GpnmMethods.incGpnm(spark, sc.g, sc.p, sc.iquery, sc.slen, sc.dUps, sc.pUps, cap)
-      val eh  = GpnmMethods.ehGpnm(spark, sc.g, sc.p, sc.iquery, sc.slen, sc.dUps, sc.pUps, cap)
-      val ua  = GpnmMethods.uaGpnm(spark, sc.g, sc.p, sc.iquery, sc.slen, sc.dUps, sc.pUps, cap)
-      assert(TestKit.collectMatches(inc.squery, sc.pNew) == sc.expected, "INC-GPNM")
-      assert(TestKit.collectMatches(eh.squery, sc.pNew) == sc.expected, "EH-GPNM")
-      assert(TestKit.collectMatches(ua.squery, sc.pNew) == sc.expected, "UA-GPNM")
+      assertAllEqualLocalRef(scenario(seed * 17))
     }
+
+  for (seed <- 1 to 3)
+    test(s"all methods equal LocalRef under every kind of pattern update (seed=$seed)") {
+      val sc = scenario(seed * 19, nPatNodeDel = 1)
+      assert(sc.pUps.map(_.getClass).distinct.size == 4, sc.pUps)
+      assertAllEqualLocalRef(sc)
+    }
+
+  test("a pattern update that reads an earlier one in the batch: insert q0, then delete its attach edge") {
+    val sc     = scenario(107)
+    val anchor = sc.p.nodes.head.id
+    val pUps: Seq[PatternUpdate] = Seq(
+      PatNodeIns(PNode("q0", sc.lg.labels.head), PEdge(anchor, "q0", 2)),
+      PatEdgeDel(anchor, "q0"))
+    assertAllEqualLocalRef(sc.copy(pUps = pUps))
+  }
+
+  test("RunStats are exact: INC one pass per update, EH and UA one per EH-Tree root") {
+    val sc  = scenario(108, nPatNodeDel = 1)
+    // Each data update's Aff_N, from the same SLen steps the methods take.
+    var curG = sc.g
+    var curS = sc.slen
+    val affSets = sc.dUps.map { u =>
+      val (g2, step) = Engine.applyDataUpdate(spark, curG, curS, u, SlenOps(cap))
+      curG = g2; curS = step.slen
+      u -> Der.affectedNodes(step.changed)
+    }
+    val ehTree = EhTree.build(affSets)
+    // UA's full tree: DER-I sets on the pattern just before each update,
+    // DER-III pairs, DER-II sets.
+    val ctx     = Der.context(sc.g, sc.iquery)
+    val canSets = sc.pUps.zip(sc.pUps.scanLeft(sc.p)(Updates.applyPattern)).map { case (u, pat) =>
+      u -> Der.candidateNodes(spark, u, pat, ctx, sc.slen, cap)
+    }
+    val cross = canSets.flatMap {
+      case (pu: PatEdgeIns, can) if Der.cancelsUnderNewSlen(spark, pu, ctx, curS, cap) =>
+        affSets.find { case (_, aff) => Der.typeIIIGate(can, aff) }.map { case (du, _) => (pu.uid, du.uid) }
+      case _ => None
+    }
+    val uaTree = EhTree.build(affSets ++ canSets, cross)
+    assert(uaTree.eliminated.nonEmpty, "the scenario should eliminate at least one update")
+
+    val inc = GpnmMethods.incGpnm(spark, sc.g, sc.p, sc.iquery, sc.slen, sc.dUps, sc.pUps, cap)
+    val eh  = GpnmMethods.ehGpnm(spark, sc.g, sc.p, sc.iquery, sc.slen, sc.dUps, sc.pUps, cap)
+    val ua  = GpnmMethods.uaGpnm(spark, sc.g, sc.p, sc.iquery, sc.slen, sc.dUps, sc.pUps, cap)
+    assert(inc.stats == GpnmMethods.RunStats(sc.dUps.size + sc.pUps.size, 0, 0))
+    assert(eh.stats == GpnmMethods.RunStats(ehTree.roots.size + sc.pUps.size,
+                                            ehTree.eliminated.size, ehTree.depth))
+    assert(ua.stats == GpnmMethods.RunStats(uaTree.roots.size, uaTree.eliminated.size, uaTree.depth))
+  }
 
   test("INC-GPNM pays one fixpoint pass per update") {
     val sc  = scenario(101)
