@@ -6,12 +6,13 @@ import repro.core.DataGraph
 
 import scala.collection.mutable
 
-/** The shortest-path-length kernel: exact in-memory BFS runs executed as
-  * distributed `flatMapGroups` tasks. Every method computes SLen with it.
+/** The shortest-path-length kernel: exact in-memory BFS runs in one
+  * coalesced task, with no shuffle. Every method computes SLen with it.
   *
-  * The BFS roots are split into chunks; each chunk's task gets every edge
-  * and the roots of that chunk, so one large graph still spreads across
-  * cores.
+  * The task reads the edges, the node ids and the sources, as
+  * `Bgs.matchFixpoint` reads its inputs. More tasks buy nothing at this
+  * scale (DESIGN.md §2), and a one-partition SLen keeps every later SLen
+  * read at one task.
   *
   * SLen representation (Table II): `(src, dst, d)` rows for *finite*
   * distances only, `d ∈ [0, cap]`, including the self rows `(v, v, 0)`.
@@ -21,39 +22,35 @@ import scala.collection.mutable
   */
 object ApspBfs {
 
-  /** BFS-root chunks: spreads one large graph across cores. */
-  private val Chunks = 16
-
   /** SLen rows `(src, dst, d)` for every `src` in `sources` ("id" column)
-    * that is a node of `g`, `d ≤ cap`.
+    * that is a node of `g`, `d ≤ cap`; checkpointed, in one partition.
     */
   def fromSources(spark: SparkSession, g: DataGraph, sources: DataFrame, cap: Int): DataFrame = {
     import spark.implicits._
-    val chunkIds = (0 until Chunks).toDF("chunk")
-    val edgeRows = g.edges
-      .crossJoin(chunkIds)
-      .select(col("chunk"), lit(0).as("kind"), col("src").as("a"), col("dst").as("b"))
-    val sourceRows = sources
-      .select(col("id")).distinct()
-      .join(g.nodes.select(col("id")), Seq("id"))
-      .select(pmod(col("id"), lit(Chunks)).cast("int").as("chunk"),
-              lit(1).as("kind"), col("id").as("a"), lit(0L).as("b"))
+    // Rows (kind, a, b): kind 0 is an edge a → b, kind 1 a node a, kind 2
+    // a source a.
+    val edgeRows   = g.edges.select(lit(0).as("kind"), col("src").as("a"), col("dst").as("b"))
+    val nodeRows   = g.nodes.select(lit(1).as("kind"), col("id").as("a"), lit(0L).as("b"))
+    val sourceRows = sources.select(lit(2).as("kind"), col("id").as("a"), lit(0L).as("b"))
 
-    val out = edgeRows.union(sourceRows)
-      .as[(Int, Int, Long, Long)]
-      .groupByKey(_._1)
-      .flatMapGroups { (_: Int, rows: Iterator[(Int, Int, Long, Long)]) =>
-        val edges = mutable.ArrayBuffer.empty[(Long, Long)]
-        val roots = mutable.ArrayBuffer.empty[Long]
+    // `coalesce`, not `repartition`: one task reads every input partition
+    // without an exchange.
+    edgeRows.union(nodeRows).union(sourceRows)
+      .as[(Int, Long, Long)]
+      .coalesce(1)
+      .mapPartitions { rows =>
+        val adj   = mutable.HashMap.empty[Long, mutable.ArrayBuffer[Long]]
+        val nodes = mutable.HashSet.empty[Long]
+        val roots = mutable.HashSet.empty[Long]
         rows.foreach {
-          case (_, 0, a, b) => edges += ((a, b))
-          case (_, _, a, _) => roots += a
+          case (0, a, b) => adj.getOrElseUpdate(a, mutable.ArrayBuffer.empty) += b
+          case (1, a, _) => nodes += a
+          case (_, a, _) => roots += a
         }
-        if (roots.isEmpty) Iterator.empty
-        else localBfs(edges.toSeq, roots.toSeq, cap)
+        localBfs(adj, roots.iterator.filter(nodes), cap)
       }
       .toDF("src", "dst", "d")
-    out.localCheckpoint()
+      .localCheckpoint()
   }
 
   /** Full SLen matrix (all nodes as sources). */
@@ -64,11 +61,9 @@ object ApspBfs {
     * `(root, v, d)` for every node within `cap` hops (including the root
     * itself at distance 0).
     */
-  private def localBfs(edges: Seq[(Long, Long)], roots: Seq[Long],
-                       cap: Int): Iterator[(Long, Long, Int)] = {
-    val adj = mutable.HashMap.empty[Long, mutable.ArrayBuffer[Long]]
-    edges.foreach { case (s, d) => adj.getOrElseUpdate(s, mutable.ArrayBuffer.empty) += d }
-    roots.iterator.flatMap { r =>
+  private def localBfs(adj: collection.Map[Long, collection.Seq[Long]], roots: Iterator[Long],
+                       cap: Int): Iterator[(Long, Long, Int)] =
+    roots.flatMap { r =>
       val dist  = mutable.HashMap[Long, Int](r -> 0)
       var level = mutable.ArrayBuffer(r)
       var d     = 0
@@ -84,5 +79,4 @@ object ApspBfs {
       }
       dist.iterator.map { case (v, dd) => (r, v, dd) }
     }
-  }
 }

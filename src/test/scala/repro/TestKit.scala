@@ -46,6 +46,51 @@ object TestKit {
   def randomPattern(g: LocalGraph, seed: Long, nNodes: Int = 4, nEdges: Int = 5): PatternGraph =
     repro.gen.PatternGen.generate(nNodes, nEdges, g.labels, seed)
 
+  /** `n` pattern updates, each drawn from the pattern as the earlier ones
+    * left it, so that a later update can delete an edge or node an earlier
+    * one inserted (`UpdateGen.patternUpdates` draws every delete from the
+    * original pattern). Each draw picks one of the four kinds that has a
+    * candidate, then a candidate; a delete takes one of the batch's own
+    * insertions half of the time when there is one. No uid repeats, and
+    * deletes keep at least two nodes and one edge.
+    */
+  def dependentPatternUpdates(p: PatternGraph, labels: Seq[String], n: Int,
+                              seed: Long): Seq[PatternUpdate] = {
+    val rnd = new Random(seed)
+    def pick[A](xs: Seq[A]): A = xs(rnd.nextInt(xs.size))
+    def bound(): Int = 1 + rnd.nextInt(repro.gen.PatternGen.MaxBound)
+    val out = scala.collection.mutable.Buffer.empty[PatternUpdate]
+    var cur = p
+    while (out.size < n) {
+      val used   = out.map(_.uid).toSet
+      val ids    = cur.nodes.map(_.id)
+      val q      = PNode(s"q${out.size}", pick(labels))
+      val anchor = pick(ids)
+      val kinds: Seq[Seq[PatternUpdate]] = Seq(
+        for (a <- ids; b <- ids if a != b && !cur.edges.exists(e => e.src == a && e.dst == b))
+          yield PatEdgeIns(PEdge(a, b, bound())),
+        if (cur.edges.size > 1) cur.edges.map(e => PatEdgeDel(e.src, e.dst)) else Nil,
+        Seq(PatNodeIns(q, if (rnd.nextBoolean()) PEdge(anchor, q.id, bound()) else PEdge(q.id, anchor, bound()))),
+        if (ids.size > 2) ids.map(PatNodeDel(_)) else Nil
+      ).map(_.filterNot(u => used(u.uid))).filter(_.nonEmpty)
+      val kind = pick(kinds)
+      val own  = kind.filter(deletesInserted(p))
+      val u    = if (own.nonEmpty && rnd.nextBoolean()) pick(own) else pick(kind)
+      out += u
+      cur = Updates.applyPattern(cur, u)
+    }
+    out.toSeq
+  }
+
+  /** Whether `u` deletes a pattern edge or node that `p` lacks: in a batch
+    * over `p`, one that an earlier update inserted.
+    */
+  def deletesInserted(p: PatternGraph)(u: PatternUpdate): Boolean = u match {
+    case PatEdgeDel(s, d) => !p.edges.exists(e => e.src == s && e.dst == d)
+    case PatNodeDel(id)   => !p.hasNode(id)
+    case _                => false
+  }
+
   /** Collect a SLen DataFrame to the LocalRef map form. */
   def collectSlen(df: DataFrame): Map[(Long, Long), Int] =
     df.collect().map(r => ((r.getLong(0), r.getLong(1)), r.getInt(2))).toMap

@@ -49,7 +49,9 @@ class BgsSpec extends SparkSpec {
       val slen   = ops.fullApsp(spark, g)
       val (a, b) = lg.edges(seed * 7)
       val g2     = g.deleteEdge(a, b)
-      val s2     = IncApsp.deleteEdgeStep(slen, a, b, ops.recompute(spark, g2)).slen
+      // The kernel's SLen has one partition; spread it so that the pass's
+      // `coalesce(1)` still reads several.
+      val s2     = IncApsp.deleteEdgeStep(slen, a, b, ops.recompute(spark, g2)).slen.repartition(3)
       assert(s2.rdd.getNumPartitions > 1)
       val lg2 = lg.copy(edges = lg.edges.filterNot(_ == ((a, b))))
       assert(TestKit.collectMatches(Bgs.run(spark, g2, p, s2, cap), p) ==

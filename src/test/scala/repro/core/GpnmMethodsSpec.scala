@@ -68,6 +68,14 @@ class GpnmMethodsSpec extends SparkSpec {
       assertAllEqualLocalRef(sc)
     }
 
+  for (seed <- 1 to 3)
+    test(s"all methods equal LocalRef under batch-dependent pattern updates (seed=$seed)") {
+      val sc   = scenario(seed * 23)
+      val pUps = TestKit.dependentPatternUpdates(sc.p, sc.lg.labels, n = 6, seed = seed * 29L)
+      assert(pUps.exists(TestKit.deletesInserted(sc.p)), s"no update deletes what an earlier one inserted: $pUps")
+      assertAllEqualLocalRef(sc.copy(pUps = pUps))
+    }
+
   test("a pattern update that reads an earlier one in the batch: insert q0, then delete its attach edge") {
     val sc     = scenario(107)
     val anchor = sc.p.nodes.head.id

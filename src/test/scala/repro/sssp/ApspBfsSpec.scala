@@ -1,7 +1,7 @@
 package repro.sssp
 
 import repro.{Oracle, SparkSpec, TestKit}
-import repro.core.{DataGraph, LocalRef, SlenOps}
+import repro.core.{DataGraph, DataNodeDel, LocalRef, SlenOps}
 
 /** The SLen BFS kernel vs the brute-force reference and the DuckDB
   * recursive-CTE oracle.
@@ -60,6 +60,38 @@ class ApspBfsSpec extends SparkSpec {
   test("empty source set yields empty result") {
     val g = graph(Seq(1L, 2L), Seq((1L, 2L)))
     assert(SlenOps(cap).recompute(spark, g)(Seq.empty[Long].toDF("id")).isEmpty)
+  }
+
+  test("recompute on a few sources is one Spark job with a one-partition result") {
+    // A shuffle in the kernel (a source join, a grouped task) takes more jobs.
+    val g         = TestKit.randomGraph(9, n = 30, m = 90).toDataGraph(spark)
+    val recompute = () => SlenOps(cap).recompute(spark, g)(Seq(1L, 4L, 7L).toDF("id"))
+    assert(TestKit.countJobs(spark)(recompute()) == 1)
+    assert(recompute().rdd.getNumPartitions == 1)
+  }
+
+  test("fullApsp is one Spark job with a one-partition result") {
+    val g = TestKit.randomGraph(10, n = 30, m = 90).toDataGraph(spark)
+    assert(TestKit.countJobs(spark)(SlenOps(cap).fullApsp(spark, g)) == 1)
+    assert(SlenOps(cap).fullApsp(spark, g).rdd.getNumPartitions == 1)
+  }
+
+  test("duplicate source ids give the same rows as distinct ones") {
+    val g    = TestKit.randomGraph(11, n = 30, m = 90).toDataGraph(spark)
+    val rows = (ids: Seq[Long]) => SlenOps(cap).recompute(spark, g)(ids.toDF("id")).collect().toSeq
+    val dup  = rows(Seq(3L, 5L, 3L, 5L, 5L))
+    assert(dup.size == dup.distinct.size)
+    assert(dup.toSet == rows(Seq(3L, 5L)).toSet)
+  }
+
+  test("recompute over a lazy graph after removeNode equals LocalRef on the sources") {
+    val lg   = TestKit.randomGraph(12, n = 30, m = 90)
+    val g2   = lg.toDataGraph(spark).removeNode(4L)
+    val lg2  = TestKit.applyDataLocal(lg, Seq(DataNodeDel(4L)))
+    val srcs = Set(0L, 4L, 6L, 9L)
+    val got  = TestKit.collectSlen(SlenOps(cap).recompute(spark, g2)(srcs.toSeq.toDF("id")))
+    assert(got == LocalRef.apsp(lg2.nodeIds, lg2.edges, cap).filter { case ((s, _), _) => srcs(s) })
+    assert(!got.keys.exists { case (s, d) => s == 4L || d == 4L })
   }
 
   for (seed <- 1 to 8)
