@@ -21,7 +21,7 @@ import org.apache.spark.sql.functions._
 object Der {
 
   /** Driver-side snapshot of the inputs DER reads repeatedly: label → node
-    * ids and pattern node → IQuery matches. Built with two collects so a
+    * ids and pattern node → IQuery matches. Built with one collect so a
     * batch of updates does not re-scan per set (the bound checks still read
     * SLen, through [[violations]]).
     */
@@ -33,13 +33,14 @@ object Der {
 
   /** Build the [[Context]] for a (data graph, IQuery) pair. */
   def context(g: DataGraph, iquery: DataFrame): Context = {
-    val labels = g.nodes.collect()
-      .map(r => (r.getLong(0), r.getString(1)))
-      .groupBy(_._2).view.mapValues(_.map(_._1).toSet).toMap
-    val ms = iquery.collect()
-      .map(r => (r.getString(0), r.getLong(1)))
-      .groupBy(_._1).view.mapValues(_.map(_._2).toSet).toMap
-    Context(labels, ms)
+    // Rows (kind, key, id): kind 0 is a node id under its label, kind 1 an
+    // IQuery match of pattern node key. One union, so one Spark job.
+    val rows = g.nodes.select(lit(0).as("kind"), col("label").as("key"), col("id"))
+      .union(iquery.select(lit(1).as("kind"), col("pu").as("key"), col("v").as("id")))
+      .collect().map(r => (r.getInt(0), r.getString(1), r.getLong(2)))
+    def sets(kind: Int): Map[String, Set[Long]] =
+      rows.filter(_._1 == kind).groupBy(_._2).view.mapValues(_.map(_._3).toSet).toMap
+    Context(sets(0), sets(1))
   }
 
   /** Pairs `(v, v')` of `left × right` whose SLen entry fails `1..bound`
@@ -88,7 +89,9 @@ object Der {
 
   /** `Aff_N(U_Di)`: the endpoints of a changed-pair set, such as the one
     * an SLen step returns (`IncApsp.Step.changed`). Each partition sends
-    * its distinct endpoints (at most |V_D|), so one job collects the set.
+    * its distinct endpoints (at most |V_D|), so one job collects the set;
+    * for a step's pairs that job scans the step's checkpoint, with no
+    * exchange.
     */
   def affectedNodes(changed: DataFrame): Set[Long] = {
     val spark = changed.sparkSession

@@ -2,31 +2,40 @@ package repro.sssp
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.{IntegerType, LongType, StructField, StructType}
+
+import scala.collection.mutable
 
 /** Incremental maintenance of the SLen matrix under `ΔG_D` (§IV-B, DER-II's
   * Steps 1–2: update SLen, then find `Aff_N`, the endpoints of the pairs
   * whose shortest path length changed).
   *
   * Every data update is one SLen *step* ([[Step]]): the new SLen together
-  * with the pairs whose distance changed, read from the rows the update
-  * touched instead of a diff of the whole old and new SLen.
+  * with the pairs whose distance changed, found from the rows the update
+  * touched instead of a diff of the whole old and new SLen. A step ends in
+  * one `coalesce(1).mapPartitions` task with no shuffle, as
+  * `Bgs.matchFixpoint` and [[ApspBfs]] do. The task holds the SLen rows in
+  * primitive arrays indexed by source and writes the new SLen rows and the
+  * changed pairs, tagged, into one local checkpoint; `Step.slen` and
+  * `Step.changed` both read it.
   *
-  * - Edge insert `(a,b)` is a min-plus step, no traversal:
-  *   `d'(x,y) = min(d(x,y), d(x,a) + 1 + d(b,y))`, one `union`/`groupBy`
-  *   that also keeps `min(d_old)`, so the lowered and added pairs are a
-  *   filter over the same checkpoint.
   * - Node insert `v` with in-neighbours `S` and out-neighbours `T` is one
   *   min-plus step through `v`: `d(x,v) = 1 + min_s d(x,s)`,
-  *   `d(v,y) = 1 + min_t d(t,y)` and `d'(x,y) = min(d(x,y), d(x,v) + d(v,y))`,
-  *   plus the self row. A shortest path visits `v` at most once, and its
-  *   parts before and after `v` avoid `v`, so old distances suffice.
-  * - Edge delete `(a,b)` collects the sound affected-source set
+  *   `d(v,y) = 1 + min_t d(t,y)` and `d'(x,y) = min(d(x,y), d(x,v) + d(v,y))`
+  *   within the cap, plus `v`'s own rows. A shortest path visits `v` at
+  *   most once, and its parts before and after `v` avoid `v`, so old
+  *   distances suffice. Edge insert `(a,b)` is the same step through the
+  *   edge: `d'(x,y) = min(d(x,y), d(x,a) + 1 + d(b,y))`. Distances only
+  *   fall, so the changed pairs are the lowered and the added ones. One
+  *   Spark job.
+  * - Edge delete `(a,b)` recomputes the sound affected-source set
   *   `{s : d(s,b) = d(s,a) + 1}` (any pair whose distance grows must have
   *   routed its shortest path through the deleted edge); node delete `v`
-  *   collects the sources that reach `v`. Those sources are recomputed by a
-  *   restricted multi-source BFS the caller supplies (`SlenOps.recompute`:
-  *   the [[ApspBfs]] kernel); the changed pairs are a diff of only their
-  *   old and new rows.
+  *   recomputes the sources that reach `v`. The set is a lazy filter over
+  *   SLen that the caller's restricted multi-source BFS reads
+  *   (`SlenOps.recompute`: the [[ApspBfs]] kernel, one job). A second task
+  *   splices their fresh rows in and diffs only their old and fresh rows.
+  *   Two Spark jobs.
   *
   * [[changedPairs]], the diff of two whole SLen states, is the reference
   * the steps are tested against.
@@ -48,41 +57,35 @@ object IncApsp {
   /** Step for inserting edge (a, b). Both endpoints must already have
     * their self rows (insert nodes with [[insertNodeStep]]).
     */
-  def insertEdgeStep(slen: DataFrame, a: Long, b: Long, cap: Int): Step = {
-    val toB   = slen.filter(col("dst") === a).select(col("src"), (col("d") + 1).as("dx"))
-    val fromB = slen.filter(col("src") === b).select(col("dst"), col("d").as("dy"))
-    lowered(slen, through(toB, fromB, cap))
-  }
+  def insertEdgeStep(slen: DataFrame, a: Long, b: Long, cap: Int): Step =
+    through(slen, Seq(a), Seq(b), node = None, cap)
 
   /** Step for inserting node `v` with edges `v → t` (`t ∈ outTo`) and
     * `s → v` (`s ∈ inFrom`); `v` must not be a node yet. Distances through
     * `v` beyond `cap` are dropped.
     */
   def insertNodeStep(slen: DataFrame, v: Long, outTo: Seq[Long], inFrom: Seq[Long],
-                     cap: Int): Step = {
-    val toV   = slen.filter(col("dst").isin(inFrom: _*))
-      .select(col("src"), (col("d") + 1).as("dx")).filter(col("dx") <= cap)
-    val fromV = slen.filter(col("src").isin(outTo: _*))
-      .select(col("dst"), (col("d") + 1).as("dy")).filter(col("dy") <= cap)
-    val spark = slen.sparkSession
-    import spark.implicits._
-    lowered(slen, through(toV, fromV, cap)
-      .union(toV.select(col("src"), lit(v).as("dst"), col("dx").as("d")))
-      .union(fromV.select(lit(v).as("src"), col("dst"), col("dy").as("d")))
-      .union(Seq((v, v, 0)).toDF("src", "dst", "d")))
-  }
+                     cap: Int): Step =
+    through(slen, inFrom, outTo, node = Some(v), cap)
 
   /** Step for deleting edge (a, b); `recompute` runs over the post-delete
     * edge set.
     */
   def deleteEdgeStep(slen: DataFrame, a: Long, b: Long, recompute: Recompute): Step = {
-    val rows = slen.filter(col("dst") === a || col("dst") === b)
-      .select("src", "dst", "d").collect()
-      .map(r => ((r.getLong(0), r.getLong(1)), r.getInt(2))).toMap
-    val affected = rows.keySet.collect {
-      case (s, `a`) if rows.get((s, b)).contains(rows((s, a)) + 1) => s
-    }
-    splice(slen, affected, affected, recompute)
+    val spark = slen.sparkSession
+    import spark.implicits._
+    // The sources with d(s,b) = d(s,a) + 1, from their rows into a and b.
+    val sources = slen.filter(col("dst") === a || col("dst") === b)
+      .select("src", "dst", "d").as[(Long, Long, Int)]
+      .coalesce(1)
+      .mapPartitions { rows =>
+        val toA = mutable.HashMap.empty[Long, Int]
+        val toB = mutable.HashMap.empty[Long, Int]
+        rows.foreach { case (s, t, d) => if (t == a) toA(s) = d else toB(s) = d }
+        toA.iterator.collect { case (s, d) if toB.get(s).contains(d + 1) => s }
+      }
+      .toDF("id")
+    splice(slen, sources, dropped = Nil, recompute)
   }
 
   /** Step for deleting node `v`; `recompute` runs over the post-delete
@@ -91,10 +94,9 @@ object IncApsp {
     * it, so those sources are recomputed.
     */
   def deleteNodeStep(slen: DataFrame, v: Long, recompute: Recompute): Step = {
-    val affected = slen.filter(col("dst") === v && col("src") =!= v)
-      .select("src").collect().map(_.getLong(0)).toSet
+    val sources = slen.filter(col("dst") === v && col("src") =!= v).select(col("src").as("id"))
     // Only v and the sources reaching it have rows that mention v.
-    splice(slen, affected + v, affected, recompute)
+    splice(slen, sources, dropped = Seq(v), recompute)
   }
 
   // Only `perfbench/`'s `Replay` calls the four wrappers below, which keep
@@ -130,54 +132,167 @@ object IncApsp {
       .filter(!(col("d_old") <=> col("d_new")))
       .select(col("src"), col("dst"), col("d_old"), col("d_new"))
 
-  /** Min-plus through the inserted edge or node: `(src, dst, dx + dy)` for
-    * every row `(src, dx)` of `to` and `(dst, dy)` of `from`, within `cap`.
+  /** Insert step, in one task. With `dx(x) = 1 + min_{s ∈ inFrom} d(x,s)`
+    * and `dy(y) = hop + min_{t ∈ outTo} d(t,y)`, where `hop` is 0 through
+    * an edge and 1 through a node `v` (which also gets `dx(v) = dy(v) = 0`),
+    * every pair takes `min(d(x,y), dx(x) + dy(y))` within `cap`.
     */
-  private def through(to: DataFrame, from: DataFrame, cap: Int): DataFrame =
-    to.crossJoin(from)
-      .select(col("src"), col("dst"), (col("dx") + col("dy")).as("d"))
-      .filter(col("d") <= cap && col("src") =!= col("dst"))
+  private def through(slen: DataFrame, inFrom: Seq[Long], outTo: Seq[Long], node: Option[Long],
+                      cap: Int): Step =
+    step(tagged(slen, Old), inFrom ++ outTo ++ node) { in =>
+      import in._
+      val isIn = new Array[Boolean](n)
+      inFrom.foreach(s => isIn(slot(s)) = true)
+      val dx = Array.fill(n)(Inf)
+      for (x <- 0 until n; k <- old.rows(x) if isIn(old.dst(k))) dx(x) = math.min(dx(x), old.d(k) + 1)
+      val hop = if (node.isEmpty) 0 else 1
+      val dy  = Array.fill(n)(Inf)
+      for (t <- outTo.map(slot); k <- old.rows(t)) dy(old.dst(k)) = math.min(dy(old.dst(k)), old.d(k) + hop)
+      node.map(slot).foreach { v => dx(v) = 0; dy(v) = 0 }
 
-  /** Insert step: every pair takes the minimum of its old distance and the
-    * `candidates`' (new finite distances, never longer paths), in one
-    * shuffle; the changed pairs are those the candidates lowered or added.
-    */
-  private def lowered(slen: DataFrame, candidates: DataFrame): Step = {
-    val pairs = perPair(
-      slen.select(col("src"), col("dst"), col("d").as("d_old"), col("d").as("d_new"))
-        .union(candidates.select(col("src"), col("dst"), lit(null).cast("int").as("d_old"),
-                                 col("d").as("d_new")))
-    ).localCheckpoint()
-    Step(pairs.select(col("src"), col("dst"), col("d_new").as("d")), changedOf(pairs))
-  }
+      // Every old node has its self row at 0, so only v's self pair is added.
+      val ys      = (0 until n).filter(dy(_) <= cap).toArray
+      val seen    = new Array[Boolean](n)
+      val changes = new Changes
+      for (x <- 0 until n if dx(x) <= cap) {
+        old.rows(x).foreach { k =>
+          val y = old.dst(k)
+          seen(y) = true
+          val c = if (dy(y) <= cap) dx(x) + dy(y) else Inf
+          if (c < old.d(k) && c <= cap) { changes.add(x, y, old.d(k), c); old.d(k) = c }
+        }
+        ys.foreach(y => if (!seen(y) && dx(x) + dy(y) <= cap) changes.add(x, y, Inf, dx(x) + dy(y)))
+        old.rows(x).foreach(k => seen(old.dst(k)) = false)
+      }
+      (0 until n).iterator.flatMap(old.emit(ids, _)) ++ changes.added(ids) ++ changes.emit(ids)
+    }
 
-  /** Delete step: drop the rows of the `dropped` sources and add fresh rows
-    * for `sources` (a subset of them). Only the dropped sources' rows can
-    * differ, so the diff covers only those rows. The new SLen is
-    * checkpointed: left lazy, every delete in a run would stack one more
-    * filter and union on the plan that every later read replays.
+  /** Delete step: recompute `sources` with `recompute`, then, in one task,
+    * replace the rows of the recomputed sources and of `dropped` (ids left
+    * without rows) with the fresh ones and diff only those rows. Every
+    * recomputed source has at least its fresh self row, so the sources are
+    * the ids with fresh rows.
     */
-  private def splice(slen: DataFrame, dropped: Set[Long], sources: Set[Long],
-                     recompute: Recompute): Step = {
-    val spark = slen.sparkSession
+  private def splice(slen: DataFrame, sources: DataFrame, dropped: Seq[Long],
+                     recompute: Recompute): Step =
+    step(tagged(slen, Old).union(tagged(recompute(sources), Fresh)), dropped) { in =>
+      import in._
+      val drop = Array.tabulate(n)(fresh.rows(_).nonEmpty)
+      dropped.foreach(v => drop(slot(v)) = true)
+      val dOld    = Array.fill(n)(Inf)
+      val changes = new Changes
+      for (x <- 0 until n if drop(x)) {
+        old.rows(x).foreach(k => dOld(old.dst(k)) = old.d(k))
+        fresh.rows(x).foreach { k =>
+          val y = fresh.dst(k)
+          if (dOld(y) != fresh.d(k)) changes.add(x, y, dOld(y), fresh.d(k))
+          dOld(y) = Inf
+        }
+        // What the fresh rows left is a pair that became unreachable.
+        old.rows(x).foreach { k =>
+          val y = old.dst(k)
+          if (dOld(y) != Inf) changes.add(x, y, dOld(y), Inf)
+          dOld(y) = Inf
+        }
+      }
+      (0 until n).iterator.flatMap(x => (if (drop(x)) fresh else old).emit(ids, x)) ++ changes.emit(ids)
+    }
+
+  // Input row kinds: an old and a fresh (recomputed) SLen row. Output row
+  // kinds: a new SLen row and a changed pair.
+  private val Old = 0; private val Fresh = 1
+  private val SlenRow = 0; private val Changed = 1
+  /** ∞ inside a task; a null outside. */
+  private val Inf = Int.MaxValue
+
+  private type In  = (Int, Long, Long, Int)
+  private type Out = (Int, Long, Long, Integer, Integer)
+
+  private val SlenSchema = StructType(Seq(
+    StructField("src", LongType, nullable = false), StructField("dst", LongType, nullable = false),
+    StructField("d", IntegerType, nullable = false)))
+
+  private def tagged(slen: DataFrame, kind: Int): DataFrame =
+    slen.select(lit(kind).as("kind"), col("src"), col("dst"), col("d"))
+
+  /** Runs `body` in one coalesced task over the `(kind, src, dst, d)` rows
+    * and checkpoints what it emits; `named` are the ids the step refers to,
+    * given slots even when no row mentions them. `Step.slen` is a leaf over
+    * the checkpoint, so a run of steps never stacks plans.
+    */
+  private def step(rows: DataFrame, named: Seq[Long])(body: Input => Iterator[Out]): Step = {
+    val spark = rows.sparkSession
     import spark.implicits._
-    val isDropped = col("src").isin(dropped.toSeq: _*)
-    val old   = slen.filter(isDropped)
-    val fresh = if (sources.isEmpty) slen.limit(0) else recompute(sources.toSeq.toDF("id"))
-    val pairs = perPair(
-      old.select(col("src"), col("dst"), col("d").as("d_old"), lit(null).cast("int").as("d_new"))
-        .union(fresh.select(col("src"), col("dst"), lit(null).cast("int").as("d_old"),
-                            col("d").as("d_new"))))
-    Step(slen.filter(!isDropped).union(fresh).localCheckpoint(), changedOf(pairs))
+    // `coalesce`, not `repartition`: one task reads every input partition
+    // without an exchange.
+    val out = rows.as[In].coalesce(1)
+      .mapPartitions(it => body(new Input(it, named)))
+      .toDF("kind", "src", "dst", "d_old", "d_new")
+      .localCheckpoint()
+    val slenRows = out.filter(col("kind") === SlenRow).select(col("src"), col("dst"), col("d_new"))
+    Step(spark.createDataFrame(slenRows.rdd, SlenSchema),
+         out.filter(col("kind") === Changed).drop("kind"))
   }
 
-  /** `(src, dst, d_old, d_new)` rows reduced to one per pair, each side's
-    * minimum (null = ∞).
+  /** SLen rows of one task in primitive arrays indexed by source slot: the
+    * rows of source `x` are `k` from `start(x)` until `start(x + 1)`, with
+    * target slot `dst(k)` and distance `d(k)`.
     */
-  private def perPair(rows: DataFrame): DataFrame =
-    rows.groupBy("src", "dst").agg(min("d_old").as("d_old"), min("d_new").as("d_new"))
+  private final class Table(start: Array[Int], val dst: Array[Int], val d: Array[Int]) {
+    def rows(x: Int): Range = start(x) until start(x + 1)
+    def emit(ids: Array[Long], x: Int): Iterator[Out] =
+      rows(x).iterator.map(k => (SlenRow, ids(x), ids(dst(k)), null, Int.box(d(k))))
+  }
 
-  private def changedOf(pairs: DataFrame): DataFrame =
-    pairs.filter(!(col("d_old") <=> col("d_new")))
-      .select(col("src"), col("dst"), col("d_old"), col("d_new"))
+  /** Rows in arrival order, sorted by source slot into a [[Table]]. */
+  private final class TableBuilder {
+    private val src, dst, d = new mutable.ArrayBuilder.ofInt
+    def add(s: Int, t: Int, dd: Int): Unit = { src += s; dst += t; d += dd }
+    def result(n: Int): Table = {
+      val (ss, ts, ds) = (src.result(), dst.result(), d.result())
+      val start = new Array[Int](n + 1)
+      ss.foreach(x => start(x + 1) += 1)
+      for (x <- 0 until n) start(x + 1) += start(x)
+      val next = start.clone()
+      val (dstOut, dOut) = (new Array[Int](ss.length), new Array[Int](ss.length))
+      ss.indices.foreach { k =>
+        dstOut(next(ss(k))) = ts(k); dOut(next(ss(k))) = ds(k); next(ss(k)) += 1
+      }
+      new Table(start, dstOut, dOut)
+    }
+  }
+
+  /** One task's input: every id of a row or of `named` gets a dense slot
+    * (`ids(slot(id))` is the id), and the old and the fresh SLen rows are
+    * each a [[Table]].
+    */
+  private final class Input(rows: Iterator[In], named: Seq[Long]) {
+    private val slotOf = mutable.HashMap.empty[Long, Int]
+    private val idsB   = new mutable.ArrayBuilder.ofLong
+    private def add(id: Long): Int = slotOf.getOrElseUpdate(id, { idsB += id; slotOf.size })
+    def slot(id: Long): Int = slotOf(id)
+
+    private val oldB, freshB = new TableBuilder
+    rows.foreach { case (kind, s, t, d) => (if (kind == Old) oldB else freshB).add(add(s), add(t), d) }
+    named.foreach(add)
+    val ids: Array[Long] = idsB.result()
+    val n: Int           = ids.length
+    val old: Table       = oldB.result(n)
+    val fresh: Table     = freshB.result(n)
+  }
+
+  /** Changed pairs `(x, y, d_old, d_new)` of one task, by slot. */
+  private final class Changes {
+    private val src, dst, dOld, dNew = new mutable.ArrayBuilder.ofInt
+    def add(x: Int, y: Int, before: Int, after: Int): Unit = {
+      src += x; dst += y; dOld += before; dNew += after
+    }
+    private lazy val (ss, ts, bs, as) = (src.result(), dst.result(), dOld.result(), dNew.result())
+    private def orNull(d: Int): Integer = if (d == Inf) null else Int.box(d)
+    def emit(ids: Array[Long]): Iterator[Out] =
+      ss.indices.iterator.map(k => (Changed, ids(ss(k)), ids(ts(k)), orNull(bs(k)), orNull(as(k))))
+    /** The added pairs (no old distance) as new SLen rows. */
+    def added(ids: Array[Long]): Iterator[Out] =
+      ss.indices.iterator.filter(bs(_) == Inf).map(k => (SlenRow, ids(ss(k)), ids(ts(k)), null, orNull(as(k))))
+  }
 }

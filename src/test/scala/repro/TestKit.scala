@@ -3,6 +3,8 @@ package repro
 import org.apache.spark.ListenerBusDrain
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
+import org.apache.spark.sql.execution.exchange.Exchange
 import repro.core._
 
 import scala.util.Random
@@ -118,6 +120,15 @@ object TestKit {
     sc.addSparkListener(listener)
     try { body; ListenerBusDrain(sc) } finally sc.removeSparkListener(listener)
     jobs.get
+  }
+
+  /** Fails when `df`'s executed plan has an exchange (a shuffle or a
+    * broadcast), also inside an adaptive plan.
+    */
+  def assertNoExchange(df: DataFrame): Unit = {
+    val plan = df.queryExecution.executedPlan
+    val exchanges = new AdaptiveSparkPlanHelper {}.collect(plan) { case e: Exchange => e }
+    assert(exchanges.isEmpty, s"exchange in the executed plan:\n$plan")
   }
 
   /** Apply data updates to a LocalGraph (reference semantics). */

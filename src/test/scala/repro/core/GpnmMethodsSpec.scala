@@ -119,6 +119,33 @@ class GpnmMethodsSpec extends SparkSpec {
     assert(ua.stats == GpnmMethods.RunStats(uaTree.roots.size, uaTree.eliminated.size, uaTree.depth))
   }
 
+  /** Spark jobs of INC, EH and UA (NoPar runs the same code) on one batch,
+    * each run until its SQuery is counted.
+    */
+  private def methodJobs(sc: Scenario): Seq[Int] =
+    Seq(GpnmMethods.incGpnm _, GpnmMethods.ehGpnm _,
+        GpnmMethods.uaGpnm(_, _, _, _, _, _, _, _, false)).map { method =>
+      TestKit.countJobs(spark) {
+        method(spark, sc.g, sc.p, sc.iquery, sc.slen, sc.dUps, sc.pUps, cap).squery.count()
+      }
+    }
+
+  // The two batches below have the shapes of the benchmark's workloads.
+  // Adding a Spark job to any method's path fails these pins.
+  test("Spark jobs per method on a node insert with a pattern-edge insert and delete") {
+    val sc   = scenario(109)
+    val snap = UpdateGen.snapshot(sc.g)
+    val dUps = UpdateGen.dataUpdates(snap, 0, 0, nNodeIns = 1, 0, seed = 1)
+    val pUps = UpdateGen.patternUpdates(sc.p, snap.labels, nEdgeIns = 1, nEdgeDel = 1, 0, 0, seed = 6)
+    assert(methodJobs(sc.copy(dUps = dUps, pUps = pUps)) == Seq(5, 6, 6))
+  }
+
+  test("Spark jobs per method on one data edge delete") {
+    val sc   = scenario(110)
+    val dUps = UpdateGen.dataUpdates(UpdateGen.snapshot(sc.g), 0, nEdgeDel = 1, 0, 0, seed = 2)
+    assert(methodJobs(sc.copy(dUps = dUps, pUps = Nil)) == Seq(4, 5, 6))
+  }
+
   test("INC-GPNM pays one fixpoint pass per update") {
     val sc  = scenario(101)
     val inc = GpnmMethods.incGpnm(spark, sc.g, sc.p, sc.iquery, sc.slen, sc.dUps, sc.pUps, cap)

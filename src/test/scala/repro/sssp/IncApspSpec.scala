@@ -241,4 +241,115 @@ class IncApspSpec extends SparkSpec {
     val s2   = IncApsp.insertEdgeStep(slen, 1L, 2L, cap).slen // already at distance 1
     assert(IncApsp.changedPairs(slen, s2).isEmpty)
   }
+
+  /** Applies `u` to the SLen `s0` of `lg` as one SLen step at cap `c` and
+    * checks that the step's SLen equals `LocalRef.apsp` of the updated graph
+    * and that its changed pairs equal the diff of the whole old and new
+    * SLen. Returns the updated graph and the step.
+    */
+  private def checkLocal(lg: TestKit.LocalGraph, s0: DataFrame, u: DataUpdate,
+                         c: Int = cap): (TestKit.LocalGraph, IncApsp.Step) = {
+    val (_, step) = Engine.applyDataUpdate(spark, lg.toDataGraph(spark), s0, u, SlenOps(c))
+    val lg2       = TestKit.applyDataLocal(lg, Seq(u))
+    assert(TestKit.collectSlen(step.slen) == LocalRef.apsp(lg2.nodeIds, lg2.edges, c), s"SLen after $u")
+    assert(rows(step.changed) == rows(IncApsp.changedPairs(s0, step.slen)), s"changed pairs of $u")
+    (lg2, step)
+  }
+
+  for (seed <- 1 to 6)
+    test(s"every update kind's step equals LocalRef and the whole-SLen diff (seed=$seed)") {
+      // One update of each kind in turn, each step on the previous step's SLen.
+      val rnd = new scala.util.Random(seed)
+      def pick[A](xs: Seq[A]): A = xs(rnd.nextInt(xs.size))
+      var lg  = TestKit.randomGraph(seed + 200, n = 26, m = 70)
+      var s   = ops.fullApsp(spark, lg.toDataGraph(spark))
+      val ids = lg.nodeIds
+      val others = rnd.shuffle(ids).take(4)
+      val kinds: Seq[TestKit.LocalGraph => DataUpdate] = Seq(
+        g => { val (a, b) = pick(for (x <- ids; y <- ids if x != y && !g.edges.contains((x, y))) yield (x, y))
+               DataEdgeIns(a, b) },
+        g => { val (a, b) = pick(g.edges); DataEdgeDel(a, b) },
+        _ => DataNodeIns(1000L, "L0", outTo = others.take(2), inFrom = others.drop(2)),
+        g => DataNodeDel(pick(g.nodeIds.filter(v => g.edges.exists(_._1 == v) && g.edges.exists(_._2 == v))))
+      )
+      kinds.foreach { next =>
+        val (lg2, step) = checkLocal(lg, s, next(lg))
+        lg = lg2; s = step.slen
+      }
+    }
+
+  test("SLen step: the insertNode wrapper (cap 0), then one insertEdge step per attachment") {
+    val lg  = TestKit.randomGraph(61, n = 26, m = 70)
+    var s   = ops.fullApsp(spark, lg.toDataGraph(spark))
+    val v   = 500L
+    val (outTo, inFrom) = (Seq(3L, 7L), Seq(11L, 19L))
+    var cur = lg.copy(nodes = lg.nodes :+ ((v, "L1")))
+    s = IncApsp.insertNode(spark, s, v)
+    assert(TestKit.collectSlen(s) == LocalRef.apsp(cur.nodeIds, cur.edges, cap))
+    (outTo.map(t => (v, t)) ++ inFrom.map(x => (x, v))).foreach { case (a, b) =>
+      val (lg2, step) = checkLocal(cur, s, DataEdgeIns(a, b))
+      cur = lg2; s = step.slen
+    }
+    assert(TestKit.collectSlen(s) == scratch(TestKit.applyDataLocal(lg,
+      Seq(DataNodeIns(v, "L1", outTo, inFrom))).toDataGraph(spark)))
+  }
+
+  test("SLen step: inserts on a chain longer than the cap truncate every new path at the cap") {
+    // Chain 0 -> ... -> 11 at cap 3: closing it into a cycle, then adding a
+    // node from 9 to 2, makes many new paths, most of them longer than 3.
+    val c  = 3
+    val lg = TestKit.LocalGraph((0L to 11L).map(i => (i, "A")), (0L until 11L).map(i => (i, i + 1)))
+    val s0 = SlenOps(c).fullApsp(spark, lg.toDataGraph(spark))
+    val (lg1, e) = checkLocal(lg, s0, DataEdgeIns(11L, 0L), c)
+    assert(TestKit.collectSlen(e.slen).get((10L, 1L)).contains(3) && !TestKit.collectSlen(e.slen).contains((9L, 1L)))
+    val (_, nd) = checkLocal(lg1, e.slen, DataNodeIns(50L, "B", outTo = Seq(2L), inFrom = Seq(9L)), c)
+    val got = TestKit.collectSlen(nd.slen)
+    assert(got((9L, 3L)) == 3 && !got.contains((8L, 3L))) // 9 -> v -> 2 -> 3
+    assert(got.values.forall(_ <= c))
+  }
+
+  test("SLen step: deletes that disconnect part of the graph") {
+    // Two 5-node cycles joined by the bridge 4 -> 5; 4 is also a cut node.
+    val ring  = (b: Long) => (0L until 5L).map(i => (b + i, b + (i + 1) % 5))
+    val lg    = TestKit.LocalGraph((0L to 9L).map(i => (i, "A")), ring(0L) ++ ring(5L) :+ ((4L, 5L)))
+    val s0    = ops.fullApsp(spark, lg.toDataGraph(spark))
+    val (_, e) = checkLocal(lg, s0, DataEdgeDel(4L, 5L))
+    val lost  = rows(e.changed)
+    // Every pair across the bridge but 0 -> 9, which takes 9 hops > cap.
+    assert(lost.size == 24 && lost.forall { case (x, y, _, dNew) => x < 5 && y >= 5 && dNew.isEmpty })
+    val (_, v) = checkLocal(lg, s0, DataNodeDel(4L))
+    assert(rows(v.changed).contains((0L, 5L, Some(5), None)))
+  }
+
+  test("an insert step is one Spark job with a one-partition SLen") {
+    val lg = TestKit.randomGraph(62, n = 26, m = 70)
+    val s0 = ops.fullApsp(spark, lg.toDataGraph(spark))
+    val (a, b) = (for (x <- lg.nodeIds; y <- lg.nodeIds if x != y && !lg.edges.contains((x, y))) yield (x, y)).head
+    assert(TestKit.countJobs(spark)(IncApsp.insertEdgeStep(s0, a, b, cap)) == 1)
+    assert(TestKit.countJobs(spark)(IncApsp.insertNodeStep(s0, 900L, Seq(1L, 2L), Seq(3L, 4L), cap)) == 1)
+    assert(IncApsp.insertNodeStep(s0, 900L, Seq(1L, 2L), Seq(3L, 4L), cap).slen.rdd.getNumPartitions == 1)
+  }
+
+  test("a delete step takes at most two Spark jobs") {
+    val lg = TestKit.randomGraph(63, n = 26, m = 70)
+    val g  = lg.toDataGraph(spark)
+    val s0 = ops.fullApsp(spark, g)
+    val (a, b) = lg.edges.head
+    val v      = lg.edges.last._1
+    assert(TestKit.countJobs(spark)(IncApsp.deleteEdgeStep(s0, a, b, recompute(g.deleteEdge(a, b)))) <= 2)
+    assert(TestKit.countJobs(spark)(IncApsp.deleteNodeStep(s0, v, recompute(g.removeNode(v)))) <= 2)
+  }
+
+  test("Aff_N of a step is one Spark job over the step's checkpoint, with no exchange") {
+    val lg = TestKit.randomGraph(64, n = 26, m = 70)
+    val g  = lg.toDataGraph(spark)
+    val s0 = ops.fullApsp(spark, g)
+    val (a, b) = lg.edges.head
+    val steps = Seq(IncApsp.insertNodeStep(s0, 900L, Seq(a), Seq(b), cap),
+                    IncApsp.deleteEdgeStep(s0, a, b, recompute(g.deleteEdge(a, b))))
+    steps.foreach { step =>
+      TestKit.assertNoExchange(step.changed)
+      assert(TestKit.countJobs(spark)(Der.affectedNodes(step.changed)) == 1)
+    }
+  }
 }
