@@ -1,7 +1,7 @@
 package repro.jobs
 
 import repro.core._
-import repro.gen.{SocialGraph, UpdateGen}
+import repro.gen.{PatternGen, SocialGraph, UpdateGen}
 import repro.bench.Harness
 
 /** End-to-end demo mirroring the paper's running example: an IT-project
@@ -15,7 +15,6 @@ object DemoJob {
   def main(args: Array[String]): Unit = {
     val spark = Sessions.local("ua-gpnm-demo")
     try {
-      val cap = Harness.Cap
       val g = SocialGraph.generate(spark, n = 120, m = 600, nLabels = 5,
                                    homophily = 0.8, seed = 42)
       val labels = g.nodes.select("label").distinct().collect().map(_.getString(0)).sorted
@@ -25,6 +24,9 @@ object DemoJob {
             PNode("TE", labels(2)), PNode("S", labels(3))),
         Seq(PEdge("PM", "SE", 3), PEdge("PM", "S", 3),
             PEdge("SE", "TE", 2), PEdge("S", "TE", 4)))
+      // The cap is the largest bound read: S→TE's 4, above the generated
+      // updates' `PatternGen.MaxBound`.
+      val cap = (PatternGen.MaxBound +: p.edges.map(_.bound)).max
 
       val (slen, iquery) = GpnmMethods.scratch(spark, g, p, cap)
       println("IQuery (Table I analogue):")

@@ -43,8 +43,11 @@ final case class MethodTimes(ua: Double, noPar: Double, eh: Double, inc: Double)
   */
 object Harness {
 
-  /** SLen cap: pattern bounds are 1–3; 6 hops covers the small world. */
-  val Cap = 6
+  /** SLen cap: the largest bound the workload's generators draw. A bound
+    * `k` reads only distances `1..k`, so a larger cap would compute and
+    * maintain rows that no query reads (DESIGN.md §3.1).
+    */
+  val Cap: Int = PatternGen.MaxBound
 
   /** Per-dataset state shared across scenarios: the graph and its SLen
     * matrix (pattern-independent, so computed once per dataset).

@@ -19,8 +19,12 @@ import scala.collection.mutable
   * SLen rows, runs the removal loop in memory and applies the completeness
   * rule.
   *
-  * Conventions (DESIGN.md §3.7): `d(v,v)=0` never witnesses an edge;
-  * `*` bounds are clamped to the SLen cap (any stored-finite length).
+  * Conventions (DESIGN.md §3.7): `d(v,v)=0` never witnesses an edge; each
+  * bound reads SLen up to [[PEdge.horizon]], which rejects a finite bound
+  * above the SLen cap. `*` reads every stored distance, and is accepted
+  * only on a provably complete SLen: one with no row at `d = cap`, since
+  * any longer shortest path has a prefix of exactly `cap` hops. A pass
+  * with a `*` edge that reads a row at `d = cap` fails.
   */
 object Bgs {
 
@@ -37,13 +41,16 @@ object Bgs {
   }
 
   /** Run the removal fixpoint from `cand0` and apply the all-nodes-matched
-    * rule. Returns the GPNM result `(pu, v)`, checkpointed.
+    * rule. Returns the GPNM result `(pu, v)`, checkpointed. Rejects a bound
+    * above `cap` before any Spark job, and fails the job on a `*` edge over
+    * a possibly truncated SLen.
     */
   def matchFixpoint(spark: SparkSession, cand0: DataFrame, p: PatternGraph,
                     slen: DataFrame, cap: Int): DataFrame = {
     import spark.implicits._
     val nodeIds = p.nodes.map(_.id)
-    val edges   = p.edges.map(e => (e.src, e.dst, math.min(e.bound, cap)))
+    val edges   = p.edges.map(e => (e.src, e.dst, e.horizon(cap)))
+    val star    = p.edges.exists(_.bound == PatternGraph.Star)
     // Rows (kind, pu, v, w, d): kind 0 is a candidate (pu, v), kind 1 an
     // SLen row v → w at distance d. Only distances that can ever witness
     // an edge are shipped.
@@ -63,7 +70,10 @@ object Bgs {
         val out  = mutable.HashMap.empty[Long, mutable.ArrayBuffer[(Long, Int)]]
         rows.foreach {
           case (0, pu, v, _, _) => cand.getOrElseUpdate(pu, mutable.HashSet.empty) += v
-          case (_, _, v, w, d)  => out.getOrElseUpdate(v, mutable.ArrayBuffer.empty) += ((w, d))
+          case (_, _, v, w, d)  =>
+            require(!star || d < cap,
+                    s"a * bound reads SLen at its cap $cap (row $v -> $w), which may be truncated")
+            out.getOrElseUpdate(v, mutable.ArrayBuffer.empty) += ((w, d))
         }
         // Every round but the last removes a pair, so the loop ends within
         // |cand0| + 1 rounds.

@@ -17,6 +17,12 @@ import org.apache.spark.sql.functions._
   * The sets are collected to the driver: they index at most |V_D| ids per
   * update and feed the (driver-side) EH-Tree, which applies the DER-I/II
   * coverage rule ([[EhTree.build]]).
+  *
+  * Bounds read SLen up to [[PEdge.horizon]], which rejects a finite bound
+  * above the cap. `*` reads up to the cap even where SLen may be
+  * truncated: a truncated distance only adds violations, so `Can_N` grows
+  * and DER-III cancels less often, and DER stays conservative. The BGS pass
+  * itself rejects `*` over a truncated SLen ([[Bgs.matchFixpoint]]).
   */
 object Der {
 
@@ -43,18 +49,18 @@ object Der {
     Context(sets(0), sets(1))
   }
 
-  /** Pairs `(v, v')` of `left × right` whose SLen entry fails `1..bound`
+  /** Pairs `(v, v')` of `left × right` whose SLen entry fails `1..horizon`
     * (missing ⇒ ∞ ⇒ violation). One SLen filter collects the witnessed
     * pairs; the rest of `left × right` is taken on the driver, where both
     * sets already are. Returns the violating pair count and the endpoints
     * involved.
     */
   private def violations(slen: DataFrame, left: Set[Long], right: Set[Long],
-                         bound: Int, cap: Int): (Long, Set[Long]) = {
+                         horizon: Int): (Long, Set[Long]) = {
     if (left.isEmpty || right.isEmpty) return (0L, Set.empty)
     val witnessed = slen
       .filter(col("src").isin(left.toSeq: _*) && col("dst").isin(right.toSeq: _*) &&
-              col("d").between(1, math.min(bound, cap)))
+              col("d").between(1, horizon))
       .select("src", "dst").collect()
       .map(r => (r.getLong(0), r.getLong(1))).toSet
     val viol = for (v <- left; w <- right if !witnessed((v, w))) yield (v, w)
@@ -63,21 +69,24 @@ object Der {
 
   /** `Can_N(U_Pi)` per Algorithm 1, extended to the four pattern-update
     * kinds (DESIGN.md: the sets are an *index* for elimination ordering;
-    * correctness is carried by the final fixpoint). Like
+    * correctness is carried by the final fixpoint). A bound above `cap`,
+    * in `p` or in `u`, is rejected even where the set reads none. Like
     * [[cancelsUnderNewSlen]], it keeps `spark`, unread, for `perfbench/`.
     */
   def candidateNodes(spark: SparkSession, u: PatternUpdate, p: PatternGraph,
-                     ctx: Context, slen: DataFrame, cap: Int): Set[Long] =
+                     ctx: Context, slen: DataFrame, cap: Int): Set[Long] = {
+    p.maxBound(cap)
     u match {
-      case PatEdgeIns(PEdge(s, t, bound)) =>
+      case PatEdgeIns(e @ PEdge(s, t, _)) =>
         // Can_RN: match pairs of (s, t) violating the new bound may be removed.
-        violations(slen, ctx.matchSet(s), ctx.matchSet(t), bound, cap)._2
+        violations(slen, ctx.matchSet(s), ctx.matchSet(t), e.horizon(cap))._2
       case PatEdgeDel(s, t) =>
         // Can_AN: label candidates currently excluded may become matches.
         (ctx.labelSet(p.node(s).label) -- ctx.matchSet(s)) ++
           (ctx.labelSet(p.node(t).label) -- ctx.matchSet(t))
-      case PatNodeIns(n, _) =>
+      case PatNodeIns(n, attach) =>
         // Every node with the new label may enter the result.
+        attach.horizon(cap)
         ctx.labelSet(n.label)
       case PatNodeDel(id) =>
         // The node's matches leave the result; the neighbours' excluded
@@ -86,6 +95,7 @@ object Der {
           ctx.labelSet(p.node(w).label) -- ctx.matchSet(w)
         }
     }
+  }
 
   /** `Aff_N(U_Di)`: the endpoints of a changed-pair set, such as the one
     * an SLen step returns (`IncApsp.Step.changed`). Each partition sends
@@ -111,7 +121,7 @@ object Der {
     */
   def cancelsUnderNewSlen(spark: SparkSession, uPi: PatEdgeIns, ctx: Context,
                           slenNew: DataFrame, cap: Int): Boolean = {
-    val PEdge(s, t, bound) = uPi.edge
-    violations(slenNew, ctx.matchSet(s), ctx.matchSet(t), bound, cap)._1 == 0
+    val e = uPi.edge
+    violations(slenNew, ctx.matchSet(e.src), ctx.matchSet(e.dst), e.horizon(cap))._1 == 0
   }
 }

@@ -105,10 +105,13 @@ object GpnmMethods {
   private final case class Updated(slen: DataFrame, patterns: Seq[PatternGraph],
                                    affSets: Seq[(DataUpdate, Set[Long])])
 
-  /** The one subsequent-query driver. It applies `ΔG_D` one SLen step per
-    * update ([[Engine.applyDataUpdate]]), lets the method choose the updates
-    * that get a pass and the EH-Tree that chose them, and runs one BGS pass
-    * per chosen update against the final (graph, pattern, SLen). With no
+  /** The one subsequent-query driver. It checks every bound of the pattern
+    * and of each pattern it passes through against `cap`
+    * ([[PatternGraph.maxBound]]), so a bound above the cap fails the batch
+    * before any Spark job. It then applies `ΔG_D` one SLen step per update
+    * ([[Engine.applyDataUpdate]]), lets the method choose the updates that
+    * get a pass and the EH-Tree that chose them, and runs one BGS pass per
+    * chosen update against the final (graph, pattern, SLen). With no
     * chosen update, IQuery is the answer.
     */
   private def subsequent(spark: SparkSession, g: DataGraph, p: PatternGraph,
@@ -116,6 +119,8 @@ object GpnmMethods {
                          dUps: Seq[DataUpdate], pUps: Seq[PatternUpdate], cap: Int,
                          readsAff: Boolean)
                         (choose: Updated => (Seq[Update], EhTree)): RunResult = {
+    val patterns = pUps.scanLeft(p)(Updates.applyPattern)
+    patterns.foreach(_.maxBound(cap))
     val ops  = SlenOps(cap)
     var curG = g
     var curS = slen
@@ -124,7 +129,6 @@ object GpnmMethods {
       curG = g2; curS = step.slen
       if (readsAff) Some(u -> Der.affectedNodes(step.changed)) else None
     }
-    val patterns = pUps.scanLeft(p)(Updates.applyPattern)
     val (passes, tree) = choose(Updated(curS, patterns, affSets))
     val squery = passes.foldLeft(iquery)((_, _) => Bgs.run(spark, curG, patterns.last, curS, cap))
     RunResult(squery, RunStats(passes.size, tree.eliminated.size, tree.depth))

@@ -81,7 +81,19 @@ final case class PNode(id: String, label: String)
 /** A pattern edge `(src, dst)` with bounded path length `1..bound`;
   * `bound = PatternGraph.Star` encodes the `*` symbol (any finite length).
   */
-final case class PEdge(src: String, dst: String, bound: Int)
+final case class PEdge(src: String, dst: String, bound: Int) {
+
+  /** The largest SLen distance this edge reads under `cap`, the one bound
+    * rule (DESIGN.md §3.1): a finite bound ≤ `cap` as is, `*` as `cap`. A
+    * finite bound above `cap` is rejected, since SLen cannot tell its
+    * distances `cap+1..bound` from ∞.
+    */
+  def horizon(cap: Int): Int = {
+    require(bound == PatternGraph.Star || bound <= cap,
+            s"pattern edge $src -> $dst has bound $bound above the SLen cap $cap")
+    math.min(bound, cap)
+  }
+}
 
 /** A pattern graph `G_P = (V_P, E_P, f_v, f_e)` (§III-A).
   *
@@ -103,11 +115,10 @@ final case class PatternGraph(nodes: Seq[PNode], edges: Seq[PEdge]) {
     (edges.collect { case PEdge(s, d, _) if s == id => d } ++
      edges.collect { case PEdge(s, d, _) if d == id => s }).distinct
 
-  /** Largest finite bound, clamped to `cap`; used to prune SLen rows. */
-  def maxBound(cap: Int): Int = {
-    val bs = edges.map(e => math.min(e.bound, cap))
-    if (bs.isEmpty) 0 else bs.max
-  }
+  /** Largest SLen distance any edge reads under `cap` (0 with no edges);
+    * used to prune SLen rows. Rejects a bound above `cap` ([[PEdge.horizon]]).
+    */
+  def maxBound(cap: Int): Int = edges.map(_.horizon(cap)).maxOption.getOrElse(0)
 }
 
 object PatternGraph {

@@ -16,9 +16,11 @@ import scala.collection.mutable
   *
   * SLen representation (Table II): `(src, dst, d)` rows for *finite*
   * distances only, `d ∈ [0, cap]`, including the self rows `(v, v, 0)`.
-  * Absent pair ⇒ ∞. The cap is a documented substitution (DESIGN.md §3.1):
-  * pattern bounds are small integers (1–3), so distances beyond `cap`
-  * never witness a match.
+  * Absent pair ⇒ ∞. The cap is the largest bound a query reads (DESIGN.md
+  * §3.1): a bound `k ≤ cap` reads only distances `1..k`, and every prefix
+  * of a path of length ≤ `cap` is also ≤ `cap`, so the BFS and the
+  * incremental steps stay exact for it. A row at `d = cap` marks where
+  * truncation may start; with no such row, SLen is complete.
   */
 object ApspBfs {
 

@@ -154,6 +154,33 @@ class BgsSpec extends SparkSpec {
     assert(run(lg, p) == Map("a" -> Set(1L), "b" -> Set(2L)))
   }
 
+  test("a finite bound above the cap is rejected before any Spark job") {
+    val lg   = TestKit.LocalGraph(Seq((1L, "A"), (2L, "B")), Seq((1L, 2L)))
+    val g    = lg.toDataGraph(spark)
+    val slen = SlenOps(cap).fullApsp(spark, g)
+    val p    = PatternGraph(Seq(PNode("a", "A"), PNode("b", "B")), Seq(PEdge("a", "b", cap + 1)))
+    val jobs = TestKit.countJobs(spark) {
+      val e = intercept[IllegalArgumentException](Bgs.run(spark, g, p, slen, cap))
+      assert(e.getMessage.contains(s"pattern edge a -> b has bound ${cap + 1} above the SLen cap $cap"))
+    }
+    assert(jobs == 0)
+  }
+
+  test("a star pass over an SLen with a row at the cap fails; below the cap it matches") {
+    // On the chain 1 -> 2 -> 3 -> 4, SLen at cap 3 stops at (1, 4, 3) and
+    // cannot show that nothing lies further.
+    val lg    = TestKit.LocalGraph(Seq((1L, "A"), (2L, "X"), (3L, "X"), (4L, "B")),
+                                   Seq((1L, 2L), (2L, 3L), (3L, 4L)))
+    val g     = lg.toDataGraph(spark)
+    val p     = PatternGraph(Seq(PNode("a", "A"), PNode("b", "B")),
+                             Seq(PEdge("a", "b", PatternGraph.Star)))
+    val short = SlenOps(3).fullApsp(spark, g)
+    val e = intercept[org.apache.spark.SparkException](Bgs.run(spark, g, p, short, 3))
+    assert(e.getMessage.contains("a * bound reads SLen at its cap 3"))
+    val full = SlenOps(4).fullApsp(spark, g)
+    assert(TestKit.collectMatches(Bgs.run(spark, g, p, full, 4), p) == Map("a" -> Set(1L), "b" -> Set(4L)))
+  }
+
   test("self distance never witnesses an edge; a 2-cycle does") {
     val p = PatternGraph(Seq(PNode("a1", "A"), PNode("a2", "A")), Seq(PEdge("a1", "a2", 2)))
     val lgNoCycle = TestKit.LocalGraph(Seq((1L, "A")), Nil)

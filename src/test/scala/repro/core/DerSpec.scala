@@ -72,6 +72,21 @@ class DerSpec extends SparkSpec {
     assert(canN(PatNodeIns(PNode("te2", "TE"), PEdge("pm", "te2", 2))) == Set(3L, 4L))
   }
 
+  test("DER-I: a finite bound above the cap is rejected, in the pattern or in the update") {
+    val over = cap + 1
+    val pOver = PatternGraph(patNoEdges.nodes, Seq(PEdge("pm", "te", over)))
+    val cases: Seq[(PatternUpdate, PatternGraph)] = Seq(
+      (PatEdgeDel("pm", "te"), pOver),
+      (PatEdgeIns(PEdge("pm", "te", over)), patNoEdges),
+      (PatNodeIns(PNode("te2", "TE"), PEdge("pm", "te2", over)), patNoEdges))
+    for ((u, p) <- cases) {
+      val e = intercept[IllegalArgumentException] {
+        Der.candidateNodes(spark, u, p, ctxNoEdges, world._3, cap)
+      }
+      assert(e.getMessage.contains(s"bound $over above the SLen cap $cap"), u)
+    }
+  }
+
   test("DER-I: PatNodeDel candidates include the node's matches") {
     assert(canN(PatNodeDel("te")) == Set(3L, 4L)) // te's matches; no constrained neighbours
   }

@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.{SparkSpec, TestKit}
+import repro.bench.Harness
 import repro.gen.UpdateGen
 
 /** The paper's implicit correctness requirement: INC-GPNM, EH-GPNM,
@@ -40,6 +41,10 @@ class GpnmMethodsSpec extends SparkSpec {
     Scenario(lg, g, p, slen, iquery, dUps, pUps)
   }
 
+  /** INC, EH and UA (NoPar runs the same code), as one signature. */
+  private val methods = Seq(GpnmMethods.incGpnm _, GpnmMethods.ehGpnm _,
+                            GpnmMethods.uaGpnm(_, _, _, _, _, _, _, _, false))
+
   test("scratch equals LocalRef") {
     val lg = TestKit.randomGraph(3, n = 30, m = 90)
     val p  = TestKit.randomPattern(lg, 4)
@@ -75,6 +80,46 @@ class GpnmMethodsSpec extends SparkSpec {
       assert(pUps.exists(TestKit.deletesInserted(sc.p)), s"no update deletes what an earlier one inserted: $pUps")
       assertAllEqualLocalRef(sc.copy(pUps = pUps))
     }
+
+  for (seed <- 1 to 3)
+    test(s"at Harness.Cap, every method equals the uncapped LocalRef on a graph the cap truncates (seed=$seed)") {
+      val c  = Harness.Cap
+      val lg = TestKit.randomGraph(seed * 31, n = 32, m = 64)
+      val g  = lg.toDataGraph(spark)
+      val p  = TestKit.randomPattern(lg, seed * 31 + 1, nNodes = 4, nEdges = 5)
+      val (slen, iquery) = GpnmMethods.scratch(spark, g, p, c)
+      // The cap truncates: SLen stops at d = cap, and some distance is longer.
+      assert(TestKit.collectSlen(slen).values.exists(_ == c))
+      assert(LocalRef.apsp(lg.nodeIds, lg.edges, lg.nodes.size).values.exists(_ > c))
+      val dUps  = UpdateGen.dataUpdates(UpdateGen.snapshot(g), 2, 2, 1, 1, seed = seed * 37)
+      val pUps  = TestKit.dependentPatternUpdates(p, lg.labels, n = 6, seed = seed * 41L)
+      val lgNew = TestKit.applyDataLocal(lg, dUps)
+      val pNew  = Updates.applyPatternAll(p, pUps)
+      val expected = LocalRef.gpnm(lgNew.nodes, lgNew.edges, pNew, cap = lgNew.nodes.size)
+      methods.foreach { method =>
+        val res = method(spark, g, p, iquery, slen, dUps, pUps, c)
+        assert(TestKit.collectMatches(res.squery, pNew) == expected)
+      }
+    }
+
+  test("a finite bound above the cap fails every method before any Spark job") {
+    val sc     = scenario(111)
+    val (a, b) = (sc.p.nodes(0).id, sc.p.nodes(1).id)
+    val over   = cap + 1
+    val batches: Seq[(PatternGraph, Seq[PatternUpdate])] = Seq(
+      (sc.p.copy(edges = sc.p.edges.head.copy(bound = over) +: sc.p.edges.tail), Nil),
+      (sc.p, Seq(PatEdgeIns(PEdge(a, b, over)))),
+      (sc.p, Seq(PatNodeIns(PNode("q0", sc.lg.labels.head), PEdge(a, "q0", over)), PatNodeDel("q0"))))
+    for ((p, pUps) <- batches; method <- methods) {
+      val jobs = TestKit.countJobs(spark) {
+        val e = intercept[IllegalArgumentException] {
+          method(spark, sc.g, p, sc.iquery, sc.slen, sc.dUps, pUps, cap)
+        }
+        assert(e.getMessage.contains(s"bound $over above the SLen cap $cap"))
+      }
+      assert(jobs == 0, s"$pUps")
+    }
+  }
 
   test("a pattern update that reads an earlier one in the batch: insert q0, then delete its attach edge") {
     val sc     = scenario(107)
@@ -119,12 +164,11 @@ class GpnmMethodsSpec extends SparkSpec {
     assert(ua.stats == GpnmMethods.RunStats(uaTree.roots.size, uaTree.eliminated.size, uaTree.depth))
   }
 
-  /** Spark jobs of INC, EH and UA (NoPar runs the same code) on one batch,
-    * each run until its SQuery is counted.
+  /** Spark jobs of INC, EH and UA on one batch, each run until its SQuery
+    * is counted.
     */
   private def methodJobs(sc: Scenario): Seq[Int] =
-    Seq(GpnmMethods.incGpnm _, GpnmMethods.ehGpnm _,
-        GpnmMethods.uaGpnm(_, _, _, _, _, _, _, _, false)).map { method =>
+    methods.map { method =>
       TestKit.countJobs(spark) {
         method(spark, sc.g, sc.p, sc.iquery, sc.slen, sc.dUps, sc.pUps, cap).squery.count()
       }

@@ -77,7 +77,7 @@ class GenSpec extends SparkSpec {
 
   test("pattern generator: bounds in 1..3, labels from the alphabet") {
     val p = PatternGen.generate(8, 10, Seq("L0", "L1"), seed = 6)
-    assert(p.edges.forall(e => e.bound >= 1 && e.bound <= 3))
+    assert(p.edges.forall(e => e.bound >= 1 && e.bound <= PatternGen.MaxBound))
     assert(p.nodes.forall(n => Set("L0", "L1").contains(n.label)))
   }
 
@@ -158,6 +158,19 @@ class GenSpec extends SparkSpec {
     assert(ups.count(_.isInstanceOf[PatNodeDel]) == 1)
     val p2 = Updates.applyPatternAll(p, ups) // must not throw
     assert(p2.nodes.nonEmpty)
+  }
+
+  test("pattern updates never draw a bound above Harness.Cap") {
+    val p = PatternGen.generate(6, 8, snap.labels, seed = 13)
+    val bounds = (0 until 20).flatMap { seed =>
+      UpdateGen.patternUpdates(p, snap.labels, 3, 0, 2, 0, seed = seed).collect {
+        case PatEdgeIns(e)    => e.bound
+        case PatNodeIns(_, e) => e.bound
+      }
+    }
+    assert(bounds.size == 100)
+    assert(bounds.forall(b => b >= 1 && b <= repro.bench.Harness.Cap))
+    assert(bounds.max == repro.bench.Harness.Cap) // the cap is reached, not only bounded
   }
 
   test("pattern updates are deterministic in the seed") {
