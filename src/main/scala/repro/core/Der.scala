@@ -1,7 +1,8 @@
 package repro.core
 
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
+import repro.sssp.IncApsp
 
 /** Detection of elimination relationships (§IV-B, Algorithms 1–3).
   *
@@ -16,7 +17,8 @@ import org.apache.spark.sql.functions._
   *
   * The sets are collected to the driver: they index at most |V_D| ids per
   * update and feed the (driver-side) EH-Tree, which applies the DER-I/II
-  * coverage rule ([[EhTree.build]]).
+  * coverage rule ([[EhTree.build]]). Each read is one plain RDD job; the
+  * DataFrame forms only convert their inputs.
   *
   * Bounds read SLen up to [[PEdge.horizon]], which rejects a finite bound
   * above the cap. `*` reads up to the cap even where SLen may be
@@ -37,17 +39,22 @@ object Der {
     def matchSet(pu: String): Set[Long]    = matches.getOrElse(pu, Set.empty)
   }
 
-  /** Build the [[Context]] for a (data graph, IQuery) pair. */
-  def context(g: DataGraph, iquery: DataFrame): Context = {
+  /** Build the [[Context]] from a data graph's node rows and its IQuery
+    * `(pu, v)`.
+    */
+  def context(nodes: RDD[(Long, String)], iquery: RDD[(String, Long)]): Context = {
     // Rows (kind, key, id): kind 0 is a node id under its label, kind 1 an
     // IQuery match of pattern node key. One union, so one Spark job.
-    val rows = g.nodes.select(lit(0).as("kind"), col("label").as("key"), col("id"))
-      .union(iquery.select(lit(1).as("kind"), col("pu").as("key"), col("v").as("id")))
-      .collect().map(r => (r.getInt(0), r.getString(1), r.getLong(2)))
+    val rows = (nodes.map { case (id, label) => (0, label, id) } ++
+                iquery.map { case (pu, v) => (1, pu, v) }).collect()
     def sets(kind: Int): Map[String, Set[Long]] =
       rows.filter(_._1 == kind).groupBy(_._2).view.mapValues(_.map(_._3).toSet).toMap
     Context(sets(0), sets(1))
   }
+
+  /** [[context]] for a (data graph, IQuery) pair of DataFrames. */
+  def context(g: DataGraph, iquery: DataFrame): Context =
+    context(Rows.nodes(g), Rows.matches(iquery))
 
   /** Pairs `(v, v')` of `left × right` whose SLen entry fails `1..horizon`
     * (missing ⇒ ∞ ⇒ violation). One SLen filter collects the witnessed
@@ -55,14 +62,12 @@ object Der {
     * sets already are. Returns the violating pair count and the endpoints
     * involved.
     */
-  private def violations(slen: DataFrame, left: Set[Long], right: Set[Long],
+  private def violations(slen: RDD[(Long, Long, Int)], left: Set[Long], right: Set[Long],
                          horizon: Int): (Long, Set[Long]) = {
     if (left.isEmpty || right.isEmpty) return (0L, Set.empty)
     val witnessed = slen
-      .filter(col("src").isin(left.toSeq: _*) && col("dst").isin(right.toSeq: _*) &&
-              col("d").between(1, horizon))
-      .select("src", "dst").collect()
-      .map(r => (r.getLong(0), r.getLong(1))).toSet
+      .collect { case (v, w, d) if left(v) && right(w) && d >= 1 && d <= horizon => (v, w) }
+      .collect().toSet
     val viol = for (v <- left; w <- right if !witnessed((v, w))) yield (v, w)
     (viol.size.toLong, viol.flatMap { case (v, w) => Set(v, w) })
   }
@@ -70,11 +75,10 @@ object Der {
   /** `Can_N(U_Pi)` per Algorithm 1, extended to the four pattern-update
     * kinds (DESIGN.md: the sets are an *index* for elimination ordering;
     * correctness is carried by the final fixpoint). A bound above `cap`,
-    * in `p` or in `u`, is rejected even where the set reads none. Like
-    * [[cancelsUnderNewSlen]], it keeps `spark`, unread, for `perfbench/`.
+    * in `p` or in `u`, is rejected even where the set reads none.
     */
-  def candidateNodes(spark: SparkSession, u: PatternUpdate, p: PatternGraph,
-                     ctx: Context, slen: DataFrame, cap: Int): Set[Long] = {
+  def candidateNodes(u: PatternUpdate, p: PatternGraph, ctx: Context,
+                     slen: RDD[(Long, Long, Int)], cap: Int): Set[Long] = {
     p.maxBound(cap)
     u match {
       case PatEdgeIns(e @ PEdge(s, t, _)) =>
@@ -97,19 +101,26 @@ object Der {
     }
   }
 
+  /** [[candidateNodes]] over a DataFrame SLen. Like the DataFrame
+    * [[cancelsUnderNewSlen]], it keeps `spark`, unread, for `perfbench/`.
+    */
+  def candidateNodes(spark: SparkSession, u: PatternUpdate, p: PatternGraph,
+                     ctx: Context, slen: DataFrame, cap: Int): Set[Long] =
+    candidateNodes(u, p, ctx, Rows.slen(slen), cap)
+
   /** `Aff_N(U_Di)`: the endpoints of a changed-pair set, such as the one
     * an SLen step returns (`IncApsp.Step.changed`). Each partition sends
     * its distinct endpoints (at most |V_D|), so one job collects the set;
     * for a step's pairs that job scans the step's checkpoint, with no
-    * exchange.
+    * shuffle.
     */
-  def affectedNodes(changed: DataFrame): Set[Long] = {
-    val spark = changed.sparkSession
-    import spark.implicits._
-    changed.select(col("src"), col("dst")).as[(Long, Long)]
-      .mapPartitions(ps => ps.flatMap { case (s, d) => Iterator(s, d) }.toSet.iterator)
+  def affectedNodes(changed: RDD[IncApsp.Changed]): Set[Long] =
+    changed.mapPartitions(ps => ps.flatMap { case (s, d, _, _) => Iterator(s, d) }.toSet.iterator)
       .collect().toSet
-  }
+
+  /** [[affectedNodes]] of a DataFrame of changed pairs `(src, dst, ...)`. */
+  def affectedNodes(changed: DataFrame): Set[Long] =
+    affectedNodes(Rows.pairs(changed).map[IncApsp.Changed] { case (s, d) => (s, d, None, None) })
 
   /** DER-III coverage gate: `Aff_N(U_Di) ⊇ Can_N(U_Pi)` (pure, driver). */
   def typeIIIGate(canPi: Set[Long], affDi: Set[Long]): Boolean =
@@ -119,9 +130,14 @@ object Der {
     * bound for every match pair of the edge's endpoints. Independent of
     * which data update provides the coverage, so check it once per `U_Pi`.
     */
-  def cancelsUnderNewSlen(spark: SparkSession, uPi: PatEdgeIns, ctx: Context,
-                          slenNew: DataFrame, cap: Int): Boolean = {
+  def cancelsUnderNewSlen(uPi: PatEdgeIns, ctx: Context, slenNew: RDD[(Long, Long, Int)],
+                          cap: Int): Boolean = {
     val e = uPi.edge
     violations(slenNew, ctx.matchSet(e.src), ctx.matchSet(e.dst), e.horizon(cap))._1 == 0
   }
+
+  /** [[cancelsUnderNewSlen]] over a DataFrame SLen. */
+  def cancelsUnderNewSlen(spark: SparkSession, uPi: PatEdgeIns, ctx: Context,
+                          slenNew: DataFrame, cap: Int): Boolean =
+    cancelsUnderNewSlen(uPi, ctx, Rows.slen(slenNew), cap)
 }

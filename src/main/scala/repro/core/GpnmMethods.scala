@@ -1,6 +1,8 @@
 package repro.core
 
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import repro.sssp.ApspBfs
 
 /** The four evaluated GPNM methods (§VII "Comparison Methods") plus the
   * from-scratch baseline used as the correctness reference.
@@ -27,6 +29,12 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
   * An "incremental GPNM pass" is a BGS fixpoint over the maintained SLen
   * (DESIGN.md §3.2), so every pass is exact, and the last one's result is
   * SQuery.
+  *
+  * DataFrames are the methods' inputs and output only. The driver reads
+  * the caller's graph, SLen and IQuery as RDDs once, with no Spark job,
+  * runs every SLen step, DER read and pass as a plain RDD job, and wraps
+  * SQuery as a DataFrame once on exit, so no Catalyst plan is built in
+  * between (DESIGN.md §2).
   */
 object GpnmMethods {
 
@@ -39,8 +47,9 @@ object GpnmMethods {
   /** From-scratch GPNM: full SLen + full fixpoint. Returns (SLen, IQuery). */
   def scratch(spark: SparkSession, g: DataGraph, p: PatternGraph,
               cap: Int): (DataFrame, DataFrame) = {
-    val slen = SlenOps(cap).fullApsp(spark, g)
-    (slen, Bgs.run(spark, g, p, slen, cap))
+    val rows = Rows.graph(g)
+    val slen = ApspBfs.apsp(rows, cap)
+    (Rows.slenFrame(spark, slen), Rows.matchFrame(spark, Bgs.run(rows.nodes, p, slen, cap)))
   }
 
   /** INC-GPNM [13]: no eliminations; every update gets a pass, and no
@@ -77,11 +86,11 @@ object GpnmMethods {
              dUps: Seq[DataUpdate], pUps: Seq[PatternUpdate], cap: Int,
              partitioned: Boolean = false): RunResult =
     subsequent(spark, g, p, iquery, slen, dUps, pUps, cap, readsAff = true) { st =>
-      val ctx = Der.context(g, iquery)
+      val ctx = Der.context(st.g.nodes, Rows.matches(iquery))
       // DER-I candidate sets against the original SLen and IQuery (Alg 1),
       // each on the pattern as it stands just before its update.
       val canSets = pUps.zip(st.patterns).map { case (u, pat) =>
-        u -> Der.candidateNodes(spark, u, pat, ctx, slen, cap)
+        u -> Der.candidateNodes(u, pat, ctx, st.slen, cap)
       }
       // DER-III: pattern-edge insertions cancelled by a covering data update.
       // The coverage gate is a driver set check; the SLen cancellation body
@@ -90,7 +99,7 @@ object GpnmMethods {
         .collect { case (pu: PatEdgeIns, can) => (pu, can) }
         .flatMap { case (pu, can) =>
           st.affSets.find { case (_, aff) => Der.typeIIIGate(can, aff) }.collect {
-            case (du, _) if Der.cancelsUnderNewSlen(spark, pu, ctx, st.slen, cap) =>
+            case (du, _) if Der.cancelsUnderNewSlen(pu, ctx, st.finalSlen, cap) =>
               (pu.uid, du.uid)
           }
         }
@@ -99,10 +108,12 @@ object GpnmMethods {
     }
 
   /** What a method reads to choose its passes once `ΔG_D` is applied: the
-    * final SLen, the pattern before each of `ΔG_P`'s updates and after the
-    * last, and each data update's `Aff_N` (none unless the method reads it).
+    * original graph's rows and SLen, the final SLen, the pattern before
+    * each of `ΔG_P`'s updates and after the last, and each data update's
+    * `Aff_N` (none unless the method reads it).
     */
-  private final case class Updated(slen: DataFrame, patterns: Seq[PatternGraph],
+  private final case class Updated(g: GraphRows, slen: RDD[(Long, Long, Int)],
+                                   finalSlen: RDD[(Long, Long, Int)], patterns: Seq[PatternGraph],
                                    affSets: Seq[(DataUpdate, Set[Long])])
 
   /** The one subsequent-query driver. It checks every bound of the pattern
@@ -121,16 +132,19 @@ object GpnmMethods {
                         (choose: Updated => (Seq[Update], EhTree)): RunResult = {
     val patterns = pUps.scanLeft(p)(Updates.applyPattern)
     patterns.foreach(_.maxBound(cap))
-    val ops  = SlenOps(cap)
-    var curG = g
-    var curS = slen
+    val (g0, s0) = (Rows.graph(g), Rows.slen(slen))
+    var curG = g0
+    var curS = s0
     val affSets = dUps.flatMap { u =>
-      val (g2, step) = Engine.applyDataUpdate(spark, curG, curS, u, ops)
+      val (g2, step) = Engine.applyDataUpdate(curG, curS, u, cap)
       curG = g2; curS = step.slen
       if (readsAff) Some(u -> Der.affectedNodes(step.changed)) else None
     }
-    val (passes, tree) = choose(Updated(curS, patterns, affSets))
-    val squery = passes.foldLeft(iquery)((_, _) => Bgs.run(spark, curG, patterns.last, curS, cap))
-    RunResult(squery, RunStats(passes.size, tree.eliminated.size, tree.depth))
+    val (passes, tree) = choose(Updated(g0, s0, curS, patterns, affSets))
+    val result = passes.foldLeft(Option.empty[RDD[(String, Long)]]) { (_, _) =>
+      Some(Bgs.run(curG.nodes, patterns.last, curS, cap))
+    }
+    RunResult(result.fold(iquery)(Rows.matchFrame(spark, _)),
+              RunStats(passes.size, tree.eliminated.size, tree.depth))
   }
 }

@@ -5,8 +5,8 @@ import org.apache.spark.sql.functions._
 
 /** A directed, node-labeled data graph `G_D = (V_D, E_D, f_a)` (§III-A).
   *
-  * Held as two DataFrames so every set-oriented kernel (APSP, candidate
-  * extraction, diffs) runs on Catalyst:
+  * Held as two DataFrames, the form the methods take and the generators
+  * write; the kernels read them as [[GraphRows]]:
   *   - `nodes(id: Long, label: String)` — `f_a` reduced to a single label,
   *     which is how the paper uses it (job titles);
   *   - `edges(src: Long, dst: Long)` — unweighted directed edges.
@@ -18,11 +18,13 @@ import org.apache.spark.sql.functions._
   */
 final case class DataGraph(nodes: DataFrame, edges: DataFrame) {
 
-  /** Insert a directed edge; no-op if it already exists. */
+  /** Insert a directed edge; no-op if it already exists. Any copy of the
+    * edge is dropped before it is added, as [[GraphRows.update]] does, so
+    * no `distinct` shuffles the edge rows.
+    */
   def insertEdge(spark: SparkSession, a: Long, b: Long): DataGraph = {
     import spark.implicits._
-    val added = Seq((a, b)).toDF("src", "dst")
-    copy(edges = edges.union(added).distinct())
+    copy(edges = deleteEdge(a, b).edges.union(Seq((a, b)).toDF("src", "dst")))
   }
 
   /** Delete a directed edge; no-op if absent. */

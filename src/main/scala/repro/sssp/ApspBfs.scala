@@ -1,8 +1,7 @@
 package repro.sssp
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
-import repro.core.DataGraph
+import org.apache.spark.rdd.RDD
+import repro.core.{GraphRows, Rows}
 
 import scala.collection.mutable
 
@@ -10,9 +9,9 @@ import scala.collection.mutable
   * coalesced task, with no shuffle. Every method computes SLen with it.
   *
   * The task reads the edges, the node ids and the sources, as
-  * `Bgs.matchFixpoint` reads its inputs. More tasks buy nothing at this
-  * scale (DESIGN.md §2), and a one-partition SLen keeps every later SLen
-  * read at one task.
+  * `Bgs.matchFixpoint` reads its inputs: a plain RDD job, with no Catalyst
+  * plan (DESIGN.md §2). More tasks buy nothing at this scale, and a
+  * one-partition SLen keeps every later SLen read at one task.
   *
   * SLen representation (Table II): `(src, dst, d)` rows for *finite*
   * distances only, `d ∈ [0, cap]`, including the self rows `(v, v, 0)`.
@@ -24,40 +23,33 @@ import scala.collection.mutable
   */
 object ApspBfs {
 
-  /** SLen rows `(src, dst, d)` for every `src` in `sources` ("id" column)
-    * that is a node of `g`, `d ≤ cap`; checkpointed, in one partition.
+  /** SLen rows `(src, dst, d)` for every id in `sources` that is a node of
+    * `g`, `d ≤ cap`; checkpointed, in one partition.
     */
-  def fromSources(spark: SparkSession, g: DataGraph, sources: DataFrame, cap: Int): DataFrame = {
-    import spark.implicits._
+  def fromSources(g: GraphRows, sources: RDD[Long], cap: Int): RDD[(Long, Long, Int)] = {
     // Rows (kind, a, b): kind 0 is an edge a → b, kind 1 a node a, kind 2
     // a source a.
-    val edgeRows   = g.edges.select(lit(0).as("kind"), col("src").as("a"), col("dst").as("b"))
-    val nodeRows   = g.nodes.select(lit(1).as("kind"), col("id").as("a"), lit(0L).as("b"))
-    val sourceRows = sources.select(lit(2).as("kind"), col("id").as("a"), lit(0L).as("b"))
-
+    val rows = g.edges.map { case (a, b) => (0, a, b) } ++
+               g.nodes.map { case (v, _) => (1, v, 0L) } ++
+               sources.map(s => (2, s, 0L))
     // `coalesce`, not `repartition`: one task reads every input partition
-    // without an exchange.
-    edgeRows.union(nodeRows).union(sourceRows)
-      .as[(Int, Long, Long)]
-      .coalesce(1)
-      .mapPartitions { rows =>
-        val adj   = mutable.HashMap.empty[Long, mutable.ArrayBuffer[Long]]
-        val nodes = mutable.HashSet.empty[Long]
-        val roots = mutable.HashSet.empty[Long]
-        rows.foreach {
-          case (0, a, b) => adj.getOrElseUpdate(a, mutable.ArrayBuffer.empty) += b
-          case (1, a, _) => nodes += a
-          case (_, a, _) => roots += a
-        }
-        localBfs(adj, roots.iterator.filter(nodes), cap)
+    // without a shuffle.
+    Rows.checkpoint(rows.coalesce(1).mapPartitions { it =>
+      val adj   = mutable.HashMap.empty[Long, mutable.ArrayBuffer[Long]]
+      val nodes = mutable.HashSet.empty[Long]
+      val roots = mutable.HashSet.empty[Long]
+      it.foreach {
+        case (0, a, b) => adj.getOrElseUpdate(a, mutable.ArrayBuffer.empty) += b
+        case (1, a, _) => nodes += a
+        case (_, a, _) => roots += a
       }
-      .toDF("src", "dst", "d")
-      .localCheckpoint()
+      localBfs(adj, roots.iterator.filter(nodes), cap)
+    })
   }
 
   /** Full SLen matrix (all nodes as sources). */
-  def apsp(spark: SparkSession, g: DataGraph, cap: Int): DataFrame =
-    fromSources(spark, g, g.nodes.select("id"), cap)
+  def apsp(g: GraphRows, cap: Int): RDD[(Long, Long, Int)] =
+    fromSources(g, g.nodes.map(_._1), cap)
 
   /** Plain in-memory BFS from each root over an adjacency list; emits
     * `(root, v, d)` for every node within `cap` hops (including the root

@@ -1,8 +1,9 @@
 package repro.sssp
 
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import org.apache.spark.sql.types.{IntegerType, LongType, StructField, StructType}
+import repro.core.Rows
 
 import scala.collection.mutable
 
@@ -14,10 +15,10 @@ import scala.collection.mutable
   * with the pairs whose distance changed, found from the rows the update
   * touched instead of a diff of the whole old and new SLen. A step ends in
   * one `coalesce(1).mapPartitions` task with no shuffle, as
-  * `Bgs.matchFixpoint` and [[ApspBfs]] do. The task holds the SLen rows in
-  * primitive arrays indexed by source and writes the new SLen rows and the
-  * changed pairs, tagged, into one local checkpoint; `Step.slen` and
-  * `Step.changed` both read it.
+  * `Bgs.matchFixpoint` and [[ApspBfs]] do, in a plain RDD job. The task
+  * holds the SLen rows in primitive arrays indexed by source and writes the
+  * new SLen rows and the changed pairs, tagged, into one local checkpoint;
+  * `Step.slen` and `Step.changed` both read it.
   *
   * - Node insert `v` with in-neighbours `S` and out-neighbours `T` is one
   *   min-plus step through `v`: `d(x,v) = 1 + min_s d(x,s)`,
@@ -32,51 +33,54 @@ import scala.collection.mutable
   *   `{s : d(s,b) = d(s,a) + 1}` (any pair whose distance grows must have
   *   routed its shortest path through the deleted edge); node delete `v`
   *   recomputes the sources that reach `v`. The set is a lazy filter over
-  *   SLen that the caller's restricted multi-source BFS reads
-  *   (`SlenOps.recompute`: the [[ApspBfs]] kernel, one job). A second task
-  *   splices their fresh rows in and diffs only their old and fresh rows.
-  *   Two Spark jobs.
+  *   SLen that the caller's restricted multi-source BFS reads (the
+  *   [[ApspBfs]] kernel, one job). A second task splices their fresh rows
+  *   in and diffs only their old and fresh rows. Two Spark jobs.
   *
   * [[changedPairs]], the diff of two whole SLen states, is the reference
-  * the steps are tested against.
+  * the steps are tested against. It and the four DataFrame wrappers are
+  * the only code here that plans a Dataset.
   */
 object IncApsp {
 
   /** The restricted-source recompute, bound to the post-update graph: maps
-    * a set of source ids ("id") to fresh SLen rows for exactly those of
-    * them that are nodes of that graph.
+    * a set of source ids to fresh SLen rows for exactly those of them that
+    * are nodes of that graph.
     */
+  type Fresh = RDD[Long] => RDD[(Long, Long, Int)]
+
+  /** [[Fresh]] over DataFrames: source ids in column "id" to SLen rows. */
   type Recompute = DataFrame => DataFrame
 
+  /** A pair whose distance changed, `(src, dst, d_old, d_new)`, `None` for ∞. */
+  type Changed = (Long, Long, Option[Int], Option[Int])
+
   /** One data update's effect on SLen: the new SLen and the pairs whose
-    * distance changed, `(src, dst, d_old, d_new)` with nulls for ∞ — the
-    * rows [[changedPairs]] would find between the old SLen and `slen`.
+    * distance changed, the rows [[changedPairs]] would find between the old
+    * SLen and `slen`. Both read the step's one checkpoint, in one partition.
     */
-  final case class Step(slen: DataFrame, changed: DataFrame)
+  final case class Step(slen: RDD[(Long, Long, Int)], changed: RDD[Changed])
 
   /** Step for inserting edge (a, b). Both endpoints must already have
     * their self rows (insert nodes with [[insertNodeStep]]).
     */
-  def insertEdgeStep(slen: DataFrame, a: Long, b: Long, cap: Int): Step =
+  def insertEdgeStep(slen: RDD[(Long, Long, Int)], a: Long, b: Long, cap: Int): Step =
     through(slen, Seq(a), Seq(b), node = None, cap)
 
   /** Step for inserting node `v` with edges `v → t` (`t ∈ outTo`) and
     * `s → v` (`s ∈ inFrom`); `v` must not be a node yet. Distances through
     * `v` beyond `cap` are dropped.
     */
-  def insertNodeStep(slen: DataFrame, v: Long, outTo: Seq[Long], inFrom: Seq[Long],
+  def insertNodeStep(slen: RDD[(Long, Long, Int)], v: Long, outTo: Seq[Long], inFrom: Seq[Long],
                      cap: Int): Step =
     through(slen, inFrom, outTo, node = Some(v), cap)
 
-  /** Step for deleting edge (a, b); `recompute` runs over the post-delete
-    * edge set.
+  /** Step for deleting edge (a, b); `fresh` runs over the post-delete edge
+    * set.
     */
-  def deleteEdgeStep(slen: DataFrame, a: Long, b: Long, recompute: Recompute): Step = {
-    val spark = slen.sparkSession
-    import spark.implicits._
+  def deleteEdgeStep(slen: RDD[(Long, Long, Int)], a: Long, b: Long, fresh: Fresh): Step = {
     // The sources with d(s,b) = d(s,a) + 1, from their rows into a and b.
-    val sources = slen.filter(col("dst") === a || col("dst") === b)
-      .select("src", "dst", "d").as[(Long, Long, Int)]
+    val sources = slen.filter { case (_, t, _) => t == a || t == b }
       .coalesce(1)
       .mapPartitions { rows =>
         val toA = mutable.HashMap.empty[Long, Int]
@@ -84,42 +88,48 @@ object IncApsp {
         rows.foreach { case (s, t, d) => if (t == a) toA(s) = d else toB(s) = d }
         toA.iterator.collect { case (s, d) if toB.get(s).contains(d + 1) => s }
       }
-      .toDF("id")
-    splice(slen, sources, dropped = Nil, recompute)
+    splice(slen, sources, dropped = Nil, fresh)
   }
 
-  /** Step for deleting node `v`; `recompute` runs over the post-delete
-    * graph (v and its incident edges removed), so its rows never mention
-    * `v`. Every source that could reach `v` may have routed paths through
-    * it, so those sources are recomputed.
+  /** Step for deleting node `v`; `fresh` runs over the post-delete graph
+    * (v and its incident edges removed), so its rows never mention `v`.
+    * Every source that could reach `v` may have routed paths through it, so
+    * those sources are recomputed.
     */
-  def deleteNodeStep(slen: DataFrame, v: Long, recompute: Recompute): Step = {
-    val sources = slen.filter(col("dst") === v && col("src") =!= v).select(col("src").as("id"))
+  def deleteNodeStep(slen: RDD[(Long, Long, Int)], v: Long, fresh: Fresh): Step = {
+    val sources = slen.collect { case (s, t, _) if t == v && s != v => s }
     // Only v and the sources reaching it have rows that mention v.
-    splice(slen, sources, dropped = Seq(v), recompute)
+    splice(slen, sources, dropped = Seq(v), fresh)
   }
 
-  // Only `perfbench/`'s `Replay` calls the four wrappers below, which keep
-  // a step's SLen alone; they go with that benchmark's change (ROADMAP 1).
+  // Only `perfbench/`'s `Replay` calls the four DataFrame wrappers below,
+  // which keep a step's SLen alone; they go with that benchmark's change
+  // (ROADMAP 1).
 
   /** SLen after inserting edge (a, b); see [[insertEdgeStep]]. */
   def insertEdge(slen: DataFrame, a: Long, b: Long, cap: Int): DataFrame =
-    insertEdgeStep(slen, a, b, cap).slen
+    Rows.slenFrame(slen.sparkSession, insertEdgeStep(Rows.slen(slen), a, b, cap).slen)
 
   /** SLen after inserting an isolated node (just its self row); attachment
     * edges are applied with [[insertEdge]] by the caller. Without
     * attachments no distance reaches the cap, so any cap serves.
     */
   def insertNode(spark: SparkSession, slen: DataFrame, v: Long): DataFrame =
-    insertNodeStep(slen, v, Nil, Nil, cap = 0).slen
+    Rows.slenFrame(spark, insertNodeStep(Rows.slen(slen), v, Nil, Nil, cap = 0).slen)
 
   /** SLen after deleting edge (a, b); see [[deleteEdgeStep]]. */
   def deleteEdge(slen: DataFrame, a: Long, b: Long, recompute: Recompute): DataFrame =
-    deleteEdgeStep(slen, a, b, recompute).slen
+    Rows.slenFrame(slen.sparkSession, deleteEdgeStep(Rows.slen(slen), a, b, freshOf(slen, recompute)).slen)
 
   /** SLen after deleting node `v`; see [[deleteNodeStep]]. */
   def deleteNode(slen: DataFrame, v: Long, recompute: Recompute): DataFrame =
-    deleteNodeStep(slen, v, recompute).slen
+    Rows.slenFrame(slen.sparkSession, deleteNodeStep(Rows.slen(slen), v, freshOf(slen, recompute)).slen)
+
+  private def freshOf(slen: DataFrame, recompute: Recompute): Fresh = {
+    val spark = slen.sparkSession
+    import spark.implicits._
+    sources => Rows.slen(recompute(sources.toDF("id")))
+  }
 
   /** Pairs whose shortest path length changed between two SLen states
     * (appeared, disappeared, or changed value): `(src, dst, d_old, d_new)`
@@ -137,8 +147,8 @@ object IncApsp {
     * an edge and 1 through a node `v` (which also gets `dx(v) = dy(v) = 0`),
     * every pair takes `min(d(x,y), dx(x) + dy(y))` within `cap`.
     */
-  private def through(slen: DataFrame, inFrom: Seq[Long], outTo: Seq[Long], node: Option[Long],
-                      cap: Int): Step =
+  private def through(slen: RDD[(Long, Long, Int)], inFrom: Seq[Long], outTo: Seq[Long],
+                      node: Option[Long], cap: Int): Step =
     step(tagged(slen, Old), inFrom ++ outTo ++ node) { in =>
       import in._
       val isIn = new Array[Boolean](n)
@@ -167,25 +177,25 @@ object IncApsp {
       (0 until n).iterator.flatMap(old.emit(ids, _)) ++ changes.added(ids) ++ changes.emit(ids)
     }
 
-  /** Delete step: recompute `sources` with `recompute`, then, in one task,
+  /** Delete step: recompute `sources` with `fresh`, then, in one task,
     * replace the rows of the recomputed sources and of `dropped` (ids left
     * without rows) with the fresh ones and diff only those rows. Every
     * recomputed source has at least its fresh self row, so the sources are
     * the ids with fresh rows.
     */
-  private def splice(slen: DataFrame, sources: DataFrame, dropped: Seq[Long],
-                     recompute: Recompute): Step =
-    step(tagged(slen, Old).union(tagged(recompute(sources), Fresh)), dropped) { in =>
+  private def splice(slen: RDD[(Long, Long, Int)], sources: RDD[Long], dropped: Seq[Long],
+                     fresh: Fresh): Step =
+    step(tagged(slen, Old) ++ tagged(fresh(sources), New), dropped) { in =>
       import in._
-      val drop = Array.tabulate(n)(fresh.rows(_).nonEmpty)
+      val drop = Array.tabulate(n)(recomputed.rows(_).nonEmpty)
       dropped.foreach(v => drop(slot(v)) = true)
       val dOld    = Array.fill(n)(Inf)
       val changes = new Changes
       for (x <- 0 until n if drop(x)) {
         old.rows(x).foreach(k => dOld(old.dst(k)) = old.d(k))
-        fresh.rows(x).foreach { k =>
-          val y = fresh.dst(k)
-          if (dOld(y) != fresh.d(k)) changes.add(x, y, dOld(y), fresh.d(k))
+        recomputed.rows(x).foreach { k =>
+          val y = recomputed.dst(k)
+          if (dOld(y) != recomputed.d(k)) changes.add(x, y, dOld(y), recomputed.d(k))
           dOld(y) = Inf
         }
         // What the fresh rows left is a pair that became unreachable.
@@ -195,43 +205,35 @@ object IncApsp {
           dOld(y) = Inf
         }
       }
-      (0 until n).iterator.flatMap(x => (if (drop(x)) fresh else old).emit(ids, x)) ++ changes.emit(ids)
+      (0 until n).iterator.flatMap(x => (if (drop(x)) recomputed else old).emit(ids, x)) ++ changes.emit(ids)
     }
 
-  // Input row kinds: an old and a fresh (recomputed) SLen row. Output row
-  // kinds: a new SLen row and a changed pair.
-  private val Old = 0; private val Fresh = 1
-  private val SlenRow = 0; private val Changed = 1
-  /** ∞ inside a task; a null outside. */
+  // Input row kinds: an old and a recomputed SLen row. Output row kinds: a
+  // new SLen row and a changed pair.
+  private val Old = 0; private val New = 1
+  private val SlenRow = 0; private val ChangedRow = 1
+  /** ∞ inside a task; `None` outside. */
   private val Inf = Int.MaxValue
 
   private type In  = (Int, Long, Long, Int)
-  private type Out = (Int, Long, Long, Integer, Integer)
+  private type Out = (Int, Long, Long, Int, Int)
 
-  private val SlenSchema = StructType(Seq(
-    StructField("src", LongType, nullable = false), StructField("dst", LongType, nullable = false),
-    StructField("d", IntegerType, nullable = false)))
-
-  private def tagged(slen: DataFrame, kind: Int): DataFrame =
-    slen.select(lit(kind).as("kind"), col("src"), col("dst"), col("d"))
+  private def tagged(slen: RDD[(Long, Long, Int)], kind: Int): RDD[In] =
+    slen.map { case (s, t, d) => (kind, s, t, d) }
 
   /** Runs `body` in one coalesced task over the `(kind, src, dst, d)` rows
     * and checkpoints what it emits; `named` are the ids the step refers to,
-    * given slots even when no row mentions them. `Step.slen` is a leaf over
-    * the checkpoint, so a run of steps never stacks plans.
+    * given slots even when no row mentions them. `Step.slen` and
+    * `Step.changed` read only the checkpoint, so a run of steps never
+    * stacks lineage.
     */
-  private def step(rows: DataFrame, named: Seq[Long])(body: Input => Iterator[Out]): Step = {
-    val spark = rows.sparkSession
-    import spark.implicits._
+  private def step(rows: RDD[In], named: Seq[Long])(body: Input => Iterator[Out]): Step = {
     // `coalesce`, not `repartition`: one task reads every input partition
-    // without an exchange.
-    val out = rows.as[In].coalesce(1)
-      .mapPartitions(it => body(new Input(it, named)))
-      .toDF("kind", "src", "dst", "d_old", "d_new")
-      .localCheckpoint()
-    val slenRows = out.filter(col("kind") === SlenRow).select(col("src"), col("dst"), col("d_new"))
-    Step(spark.createDataFrame(slenRows.rdd, SlenSchema),
-         out.filter(col("kind") === Changed).drop("kind"))
+    // without a shuffle.
+    val out = Rows.checkpoint(rows.coalesce(1).mapPartitions(it => body(new Input(it, named))))
+    def finite(d: Int): Option[Int] = if (d == Inf) None else Some(d)
+    Step(out.collect { case (SlenRow, s, t, _, d) => (s, t, d) },
+         out.collect { case (ChangedRow, s, t, before, after) => (s, t, finite(before), finite(after)) })
   }
 
   /** SLen rows of one task in primitive arrays indexed by source slot: the
@@ -241,7 +243,7 @@ object IncApsp {
   private final class Table(start: Array[Int], val dst: Array[Int], val d: Array[Int]) {
     def rows(x: Int): Range = start(x) until start(x + 1)
     def emit(ids: Array[Long], x: Int): Iterator[Out] =
-      rows(x).iterator.map(k => (SlenRow, ids(x), ids(dst(k)), null, Int.box(d(k))))
+      rows(x).iterator.map(k => (SlenRow, ids(x), ids(dst(k)), Inf, d(k)))
   }
 
   /** Rows in arrival order, sorted by source slot into a [[Table]]. */
@@ -263,8 +265,8 @@ object IncApsp {
   }
 
   /** One task's input: every id of a row or of `named` gets a dense slot
-    * (`ids(slot(id))` is the id), and the old and the fresh SLen rows are
-    * each a [[Table]].
+    * (`ids(slot(id))` is the id), and the old and the recomputed SLen rows
+    * are each a [[Table]].
     */
   private final class Input(rows: Iterator[In], named: Seq[Long]) {
     private val slotOf = mutable.HashMap.empty[Long, Int]
@@ -272,13 +274,13 @@ object IncApsp {
     private def add(id: Long): Int = slotOf.getOrElseUpdate(id, { idsB += id; slotOf.size })
     def slot(id: Long): Int = slotOf(id)
 
-    private val oldB, freshB = new TableBuilder
-    rows.foreach { case (kind, s, t, d) => (if (kind == Old) oldB else freshB).add(add(s), add(t), d) }
+    private val oldB, newB = new TableBuilder
+    rows.foreach { case (kind, s, t, d) => (if (kind == Old) oldB else newB).add(add(s), add(t), d) }
     named.foreach(add)
     val ids: Array[Long] = idsB.result()
     val n: Int           = ids.length
-    val old: Table       = oldB.result(n)
-    val fresh: Table     = freshB.result(n)
+    val old: Table        = oldB.result(n)
+    val recomputed: Table = newB.result(n)
   }
 
   /** Changed pairs `(x, y, d_old, d_new)` of one task, by slot. */
@@ -288,11 +290,10 @@ object IncApsp {
       src += x; dst += y; dOld += before; dNew += after
     }
     private lazy val (ss, ts, bs, as) = (src.result(), dst.result(), dOld.result(), dNew.result())
-    private def orNull(d: Int): Integer = if (d == Inf) null else Int.box(d)
     def emit(ids: Array[Long]): Iterator[Out] =
-      ss.indices.iterator.map(k => (Changed, ids(ss(k)), ids(ts(k)), orNull(bs(k)), orNull(as(k))))
+      ss.indices.iterator.map(k => (ChangedRow, ids(ss(k)), ids(ts(k)), bs(k), as(k)))
     /** The added pairs (no old distance) as new SLen rows. */
     def added(ids: Array[Long]): Iterator[Out] =
-      ss.indices.iterator.filter(bs(_) == Inf).map(k => (SlenRow, ids(ss(k)), ids(ts(k)), null, orNull(as(k))))
+      ss.indices.iterator.filter(bs(_) == Inf).map(k => (SlenRow, ids(ss(k)), ids(ts(k)), Inf, as(k)))
   }
 }

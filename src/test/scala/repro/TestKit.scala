@@ -1,11 +1,12 @@
 package repro
 
-import org.apache.spark.ListenerBusDrain
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+import org.apache.spark.{ListenerBusDrain, OneToOneDependency, ShuffleDependency}
+import org.apache.spark.rdd.RDD
+import org.apache.spark.scheduler.{SparkListener, SparkListenerEvent, SparkListenerJobStart}
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
-import org.apache.spark.sql.execution.exchange.Exchange
+import org.apache.spark.sql.execution.ui.SparkListenerSQLExecutionStart
 import repro.core._
+import repro.sssp.{ApspBfs, IncApsp}
 
 import scala.util.Random
 
@@ -97,12 +98,28 @@ object TestKit {
   def collectSlen(df: DataFrame): Map[(Long, Long), Int] =
     df.collect().map(r => ((r.getLong(0), r.getLong(1)), r.getInt(2))).toMap
 
+  /** Collect SLen rows to the LocalRef map form. */
+  def collectSlen(rows: RDD[(Long, Long, Int)]): Map[(Long, Long), Int] =
+    rows.collect().map { case (s, t, d) => ((s, t), d) }.toMap
+
+  /** Full SLen of `g` at `cap`, as the kernel's rows. */
+  def apsp(g: DataGraph, cap: Int): RDD[(Long, Long, Int)] = ApspBfs.apsp(Rows.graph(g), cap)
+
+  /** The restricted-source BFS over `g` at `cap`, as the delete steps take it. */
+  def fresh(g: DataGraph, cap: Int): IncApsp.Fresh = ApspBfs.fromSources(Rows.graph(g), _, cap)
+
   /** Collect a GPNM result `(pu, v)` to pattern-node → match-set form,
     * including empty sets for unmatched pattern nodes of `p`.
     */
   def collectMatches(df: DataFrame, p: PatternGraph): Map[String, Set[Long]] = {
     val m = df.collect().map(r => (r.getString(0), r.getLong(1)))
       .groupBy(_._1).view.mapValues(_.map(_._2).toSet).toMap
+    p.nodes.map(n => n.id -> m.getOrElse(n.id, Set.empty[Long])).toMap
+  }
+
+  /** [[collectMatches]] of `(pu, v)` rows. */
+  def collectMatches(rows: RDD[(String, Long)], p: PatternGraph): Map[String, Set[Long]] = {
+    val m = rows.collect().groupBy(_._1).view.mapValues(_.map(_._2).toSet).toMap
     p.nodes.map(n => n.id -> m.getOrElse(n.id, Set.empty[Long])).toMap
   }
 
@@ -122,13 +139,50 @@ object TestKit {
     jobs.get
   }
 
-  /** Fails when `df`'s executed plan has an exchange (a shuffle or a
-    * broadcast), also inside an adaptive plan.
+  /** Number of SQL executions (Dataset actions) that `body` starts. */
+  def countSqlExecutions(spark: SparkSession)(body: => Any): Int = {
+    val sc = spark.sparkContext
+    ListenerBusDrain(sc)
+    val executions = new java.util.concurrent.atomic.AtomicInteger
+    val listener   = new SparkListener {
+      override def onOtherEvent(e: SparkListenerEvent): Unit = e match {
+        case _: SparkListenerSQLExecutionStart => executions.incrementAndGet()
+        case _                                 =>
+      }
+    }
+    sc.addSparkListener(listener)
+    try { body; ListenerBusDrain(sc) } finally sc.removeSparkListener(listener)
+    executions.get
+  }
+
+  /** The RDDs of `rdd`'s lineage, `rdd` first; the walk stops at an RDD
+    * that is checkpointed, whose lineage is gone.
     */
-  def assertNoExchange(df: DataFrame): Unit = {
-    val plan = df.queryExecution.executedPlan
-    val exchanges = new AdaptiveSparkPlanHelper {}.collect(plan) { case e: Exchange => e }
-    assert(exchanges.isEmpty, s"exchange in the executed plan:\n$plan")
+  private def lineage(rdd: RDD[_]): Seq[RDD[_]] =
+    rdd +: (if (rdd.isCheckpointed) Nil else rdd.dependencies.flatMap(d => lineage(d.rdd)))
+
+  /** Fails when `rdd`'s lineage has a shuffle. */
+  def assertNoShuffle(rdd: RDD[_]): Unit = {
+    val shuffles = lineage(rdd).flatMap(_.dependencies).collect { case d: ShuffleDependency[_, _, _] => d }
+    assert(shuffles.isEmpty, s"shuffle in the lineage:\n${rdd.toDebugString}")
+  }
+
+  /** The checkpoint that `rdd` reads. Fails unless `rdd` is one partition
+    * and reads one materialized checkpoint through one-to-one dependencies
+    * alone (maps and filters: no union, no shuffle), so that no read of it
+    * computes an unmaterialized parent.
+    */
+  def checkpointRead(rdd: RDD[_]): RDD[_] = {
+    assert(rdd.getNumPartitions == 1, s"${rdd.getNumPartitions} partitions:\n${rdd.toDebugString}")
+    @annotation.tailrec
+    def walk(r: RDD[_]): RDD[_] =
+      if (r.isCheckpointed) r
+      else r.dependencies match {
+        case Seq(d: OneToOneDependency[_]) => walk(d.rdd)
+        case _ => throw new org.scalatest.exceptions.TestFailedException(
+          s"${r} is not read one-to-one from a checkpoint:\n${rdd.toDebugString}", 0)
+      }
+    walk(rdd)
   }
 
   /** Apply data updates to a LocalGraph (reference semantics). */

@@ -23,7 +23,7 @@ class BgsSpec extends SparkSpec {
     val g  = lg.toDataGraph(spark)
     val p  = TestKit.randomPattern(lg, seed = 32, nNodes = 4, nEdges = 4)
     Oracle.assertEquivalent(
-      Bgs.labelCandidates(spark, g, p),
+      Rows.matchFrame(spark, Bgs.labelCandidates(Rows.nodes(g), p)),
       "SELECT p.pu AS pu, n.id AS v FROM pnodes p JOIN nodes n ON p.plabel = n.label",
       "nodes" -> g.nodes, "pnodes" -> p.nodes.map(n => (n.id, n.label)).toDF("pu", "plabel")
     )
@@ -35,8 +35,8 @@ class BgsSpec extends SparkSpec {
     val g     = lg.toDataGraph(spark)
     val p     = TestKit.randomPattern(lg, seed = 42, nNodes = 4, nEdges = 5)
     val slen  = SlenOps(cap).fullApsp(spark, g)
-    val cand0 = Bgs.labelCandidates(spark, g, p)
-    assert(TestKit.countJobs(spark)(Bgs.matchFixpoint(spark, cand0, p, slen, cap)) == 1)
+    val cand0 = Bgs.labelCandidates(Rows.nodes(g), p)
+    assert(TestKit.countJobs(spark)(Bgs.matchFixpoint(cand0, p, Rows.slen(slen), cap)) == 1)
     assert(TestKit.countJobs(spark)(Bgs.run(spark, g, p, slen, cap)) == 1)
   }
 
@@ -51,7 +51,8 @@ class BgsSpec extends SparkSpec {
       val g2     = g.deleteEdge(a, b)
       // The kernel's SLen has one partition; spread it so that the pass's
       // `coalesce(1)` still reads several.
-      val s2     = IncApsp.deleteEdgeStep(slen, a, b, ops.recompute(spark, g2)).slen.repartition(3)
+      val s2     = Rows.slenFrame(spark, IncApsp.deleteEdgeStep(Rows.slen(slen), a, b, TestKit.fresh(g2, cap)).slen)
+        .repartition(3)
       assert(s2.rdd.getNumPartitions > 1)
       val lg2 = lg.copy(edges = lg.edges.filterNot(_ == ((a, b))))
       assert(TestKit.collectMatches(Bgs.run(spark, g2, p, s2, cap), p) ==
@@ -60,18 +61,17 @@ class BgsSpec extends SparkSpec {
   }
 
   test("one-job pass matches LocalRef on a lazy graph after insertNode and removeNode") {
-    val ops  = SlenOps(cap)
     val lg   = TestKit.randomGraph(71, n = 30, m = 90)
     val p    = TestKit.randomPattern(lg, seed = 72, nNodes = 4, nEdges = 5)
     val ups  = Seq(DataNodeIns(100L, lg.labels.head, Seq(1L, 2L), Seq(3L, 4L)), DataNodeDel(5L))
     val g0   = lg.toDataGraph(spark)
-    val (g2, s2) = ups.foldLeft((g0, ops.fullApsp(spark, g0))) {
-      case ((g, s), u) => val (g1, step) = Engine.applyDataUpdate(spark, g, s, u, ops); (g1, step.slen)
+    val (g2, s2) = ups.foldLeft((Rows.graph(g0), TestKit.apsp(g0, cap))) {
+      case ((g, s), u) => val (g1, step) = Engine.applyDataUpdate(g, s, u, cap); (g1, step.slen)
     }
     val lg2 = TestKit.applyDataLocal(lg, ups)
-    assert(TestKit.collectMatches(Bgs.labelCandidates(spark, g2, p), p) ==
+    assert(TestKit.collectMatches(Bgs.labelCandidates(g2.nodes, p), p) ==
            p.nodes.map(n => n.id -> lg2.nodes.collect { case (v, l) if l == n.label => v }.toSet).toMap)
-    assert(TestKit.collectMatches(Bgs.run(spark, g2, p, s2, cap), p) ==
+    assert(TestKit.collectMatches(Bgs.run(g2.nodes, p, s2, cap), p) ==
            LocalRef.gpnm(lg2.nodes, lg2.edges, p, cap))
   }
 
@@ -82,7 +82,7 @@ class BgsSpec extends SparkSpec {
       Seq(PNode("a1", "L0"), PNode("a2", "L0"), PNode("b", "L1")),
       Seq(PEdge("a1", "a2", 2), PEdge("a2", "b", 3), PEdge("b", "a1", 3)))
     val l0 = lg.nodes.collect { case (v, "L0") => v }.toSet
-    val cands = TestKit.collectMatches(Bgs.labelCandidates(spark, g, p), p)
+    val cands = TestKit.collectMatches(Bgs.labelCandidates(Rows.nodes(g), p), p)
     assert(cands("a1") == l0 && cands("a2") == l0 && l0.nonEmpty)
     val expect = LocalRef.gpnm(lg.nodes, lg.edges, p, cap)
     assert(expect.values.forall(_.nonEmpty))
@@ -95,7 +95,7 @@ class BgsSpec extends SparkSpec {
       Seq(PNode("a", "L0"), PNode("b", "L1"), PNode("z", "absent")),
       Seq(PEdge("a", "b", 3), PEdge("b", "a", 3), PEdge("a", "z", 2)))
     val g = lg.toDataGraph(spark)
-    assert(Bgs.labelCandidates(spark, g, p).filter($"pu" === "z").isEmpty)
+    assert(Bgs.labelCandidates(Rows.nodes(g), p).filter(_._1 == "z").isEmpty())
     val got = run(lg, p)
     assert(got == Map("a" -> Set.empty, "b" -> Set.empty, "z" -> Set.empty))
     assert(got == LocalRef.gpnm(lg.nodes, lg.edges, p, cap))
@@ -220,7 +220,7 @@ class BgsSpec extends SparkSpec {
     val p    = TestKit.randomPattern(lg, 92, nNodes = 4, nEdges = 5)
     val slen = SlenOps(cap).fullApsp(spark, g)
     val r1   = Bgs.run(spark, g, p, slen, cap)
-    val r2   = Bgs.matchFixpoint(spark, r1, p, slen, cap)
+    val r2   = Bgs.matchFixpoint(Rows.matches(r1), p, Rows.slen(slen), cap)
     assert(TestKit.collectMatches(r1, p) == TestKit.collectMatches(r2, p))
   }
 }

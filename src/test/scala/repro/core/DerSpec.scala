@@ -34,6 +34,10 @@ class DerSpec extends SparkSpec {
   private def canN(u: PatternUpdate): Set[Long] =
     Der.candidateNodes(spark, u, patNoEdges, ctxNoEdges, world._3, cap)
 
+  /** SLen after the insert step of edge (a, b). */
+  private def withEdge(slen: DataFrame, a: Long, b: Long): DataFrame =
+    Rows.slenFrame(spark, IncApsp.insertEdgeStep(Rows.slen(slen), a, b, cap).slen)
+
   /** DER-III as `uaGpnm` decides it: the coverage gate, then cancellation. */
   private def cancels(uPi: PatEdgeIns, canPi: Set[Long], affDi: Set[Long],
                       slenNew: DataFrame): Boolean =
@@ -93,16 +97,16 @@ class DerSpec extends SparkSpec {
 
   test("DER-II: affected nodes of an edge insert (Example 8 analogue)") {
     val (_, _, slen) = world
-    val s2  = IncApsp.insertEdgeStep(slen, 2L, 3L, cap).slen
+    val s2  = withEdge(slen, 2L, 3L)
     val aff = Der.affectedNodes(IncApsp.changedPairs(slen, s2))
     assert(aff == Set(2L, 3L)) // only the new pair 2->3
   }
 
   test("DER-II: a far-reaching insert affects more nodes (coverage)") {
     val (_, _, slen) = world
-    val sBig   = IncApsp.insertEdgeStep(slen, 2L, 1L, cap).slen // PM2 -> PM1 opens 2->{1,3,4}
+    val sBig   = withEdge(slen, 2L, 1L) // PM2 -> PM1 opens 2->{1,3,4}
     val affBig = Der.affectedNodes(IncApsp.changedPairs(slen, sBig))
-    val sSmall   = IncApsp.insertEdgeStep(slen, 2L, 3L, cap).slen
+    val sSmall   = withEdge(slen, 2L, 3L)
     val affSmall = Der.affectedNodes(IncApsp.changedPairs(slen, sSmall))
     assert(affBig == Set(1L, 2L, 3L, 4L))
     assert(affSmall.subsetOf(affBig)) // U_Da ⊵ U_Db
@@ -132,8 +136,8 @@ class DerSpec extends SparkSpec {
     val (_, _, slen) = world
     val uPi = PatEdgeIns(PEdge("pm", "te", 1))
     val can = canN(uPi)
-    val s1  = IncApsp.insertEdgeStep(slen, 2L, 3L, cap).slen
-    val s2  = IncApsp.insertEdgeStep(s1, 2L, 4L, cap).slen
+    val s1  = withEdge(slen, 2L, 3L)
+    val s2  = withEdge(s1, 2L, 4L)
     val aff = Der.affectedNodes(IncApsp.changedPairs(slen, s2))
     assert(can.subsetOf(aff))
     assert(cancels(uPi, can, aff, s2))
@@ -142,7 +146,7 @@ class DerSpec extends SparkSpec {
   test("DER-III rejects when the new SLen still violates the bound") {
     val (_, _, slen) = world
     val uPi = PatEdgeIns(PEdge("pm", "te", 1))
-    val s2  = IncApsp.insertEdgeStep(slen, 2L, 3L, cap).slen // 2->4 still unreachable
+    val s2  = withEdge(slen, 2L, 3L) // 2->4 still unreachable
     val aff = Der.affectedNodes(IncApsp.changedPairs(slen, s2))
     assert(!cancels(uPi, canN(uPi), aff, s2))
   }
@@ -198,11 +202,10 @@ class DerSpec extends SparkSpec {
 
   test("Theorem 2: commuting data updates reach the same SLen in any order") {
     val (_, g, slen) = world
-    val ops = SlenOps(cap)
     def applySeq(us: Seq[DataUpdate]): Map[(Long, Long), Int] = {
-      var cur = g; var s = slen
+      var cur = Rows.graph(g); var s = Rows.slen(slen)
       us.foreach { u =>
-        val (g2, step) = Engine.applyDataUpdate(spark, cur, s, u, ops); cur = g2; s = step.slen
+        val (g2, step) = Engine.applyDataUpdate(cur, s, u, cap); cur = g2; s = step.slen
       }
       TestKit.collectSlen(s)
     }

@@ -133,10 +133,10 @@ class GpnmMethodsSpec extends SparkSpec {
   test("RunStats are exact: INC one pass per update, EH and UA one per EH-Tree root") {
     val sc  = scenario(108, nPatNodeDel = 1)
     // Each data update's Aff_N, from the same SLen steps the methods take.
-    var curG = sc.g
-    var curS = sc.slen
+    var curG = Rows.graph(sc.g)
+    var curS = Rows.slen(sc.slen)
     val affSets = sc.dUps.map { u =>
-      val (g2, step) = Engine.applyDataUpdate(spark, curG, curS, u, SlenOps(cap))
+      val (g2, step) = Engine.applyDataUpdate(curG, curS, u, cap)
       curG = g2; curS = step.slen
       u -> Der.affectedNodes(step.changed)
     }
@@ -148,7 +148,7 @@ class GpnmMethodsSpec extends SparkSpec {
       u -> Der.candidateNodes(spark, u, pat, ctx, sc.slen, cap)
     }
     val cross = canSets.flatMap {
-      case (pu: PatEdgeIns, can) if Der.cancelsUnderNewSlen(spark, pu, ctx, curS, cap) =>
+      case (pu: PatEdgeIns, can) if Der.cancelsUnderNewSlen(pu, ctx, curS, cap) =>
         affSets.find { case (_, aff) => Der.typeIIIGate(can, aff) }.map { case (du, _) => (pu.uid, du.uid) }
       case _ => None
     }
@@ -176,18 +176,45 @@ class GpnmMethodsSpec extends SparkSpec {
 
   // The two batches below have the shapes of the benchmark's workloads.
   // Adding a Spark job to any method's path fails these pins.
-  test("Spark jobs per method on a node insert with a pattern-edge insert and delete") {
+
+  /** A node insert with a pattern-edge insert and delete. */
+  private def nodeInsertBatch: Scenario = {
     val sc   = scenario(109)
     val snap = UpdateGen.snapshot(sc.g)
     val dUps = UpdateGen.dataUpdates(snap, 0, 0, nNodeIns = 1, 0, seed = 1)
     val pUps = UpdateGen.patternUpdates(sc.p, snap.labels, nEdgeIns = 1, nEdgeDel = 1, 0, 0, seed = 6)
-    assert(methodJobs(sc.copy(dUps = dUps, pUps = pUps)) == Seq(5, 6, 6))
+    sc.copy(dUps = dUps, pUps = pUps)
+  }
+
+  /** One data edge delete. */
+  private def edgeDeleteBatch: Scenario = {
+    val sc   = scenario(110)
+    val dUps = UpdateGen.dataUpdates(UpdateGen.snapshot(sc.g), 0, nEdgeDel = 1, 0, 0, seed = 2)
+    sc.copy(dUps = dUps, pUps = Nil)
+  }
+
+  test("Spark jobs per method on a node insert with a pattern-edge insert and delete") {
+    assert(methodJobs(nodeInsertBatch) == Seq(5, 6, 6))
   }
 
   test("Spark jobs per method on one data edge delete") {
-    val sc   = scenario(110)
-    val dUps = UpdateGen.dataUpdates(UpdateGen.snapshot(sc.g), 0, nEdgeDel = 1, 0, 0, seed = 2)
-    assert(methodJobs(sc.copy(dUps = dUps, pUps = Nil)) == Seq(4, 5, 6))
+    assert(methodJobs(edgeDeleteBatch) == Seq(4, 5, 6))
+  }
+
+  test("no method starts an SQL execution before its SQuery is read, on either batch") {
+    // The methods read their DataFrames as RDDs and run plain RDD jobs, so
+    // no Dataset action (and no Catalyst plan of one) is inside the call.
+    // The caller's `count` is one, which shows that the listener sees them.
+    for (sc <- Seq(nodeInsertBatch, edgeDeleteBatch)) {
+      val executions = methods.map { method =>
+        var squery: org.apache.spark.sql.DataFrame = null
+        val inCall = TestKit.countSqlExecutions(spark) {
+          squery = method(spark, sc.g, sc.p, sc.iquery, sc.slen, sc.dUps, sc.pUps, cap).squery
+        }
+        (inCall, TestKit.countSqlExecutions(spark)(squery.count()))
+      }
+      assert(executions == Seq((0, 1), (0, 1), (0, 1)), s"INC, EH, UA on ${sc.dUps ++ sc.pUps}")
+    }
   }
 
   test("INC-GPNM pays one fixpoint pass per update") {
